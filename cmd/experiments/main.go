@@ -34,8 +34,8 @@ import (
 )
 
 // runCtx is canceled on SIGINT/SIGTERM: in-flight simulations finish,
-// but no further grid cell starts, and the run exits with an error
-// instead of printing figures from a partial grid.
+// but no further grid cell or experiment starts, and the run exits with
+// an error instead of printing figures from a partial grid.
 var runCtx context.Context
 
 func main() {
@@ -91,10 +91,7 @@ func main() {
 	}
 
 	if *http != "" {
-		srv, err := introspect.New(*http)
-		if err != nil {
-			fail(err)
-		}
+		srv := must(introspect.New(*http))
 		// Graceful drain bounded by a grace period; an interrupt
 		// (canceled runCtx) collapses it to an immediate close.
 		defer func() {
@@ -106,8 +103,16 @@ func main() {
 		gridProgress = func(p ladder.GridProgress) { srv.Publish("grid", p) }
 	}
 
-	opts := ladder.Options{Instr: *instr, Seed: *seed, Jobs: *jobs, TimelineInterval: *timelineInterval}
-	want := func(name string) bool { return *exp == "all" || *exp == name }
+	opts := ladder.Options{Instr: *instr, Seed: *seed, Jobs: *jobs, TimelineInterval: *timelineInterval, Progress: gridProgress}
+	// The lighter studies run on a three-workload subset.
+	sub := opts
+	sub.Workloads = []string{"lbm", "mcf", "mix-7"}
+	// Every experiment starts by asking want, so an interrupt stops the
+	// run at the next experiment boundary.
+	want := func(name string) bool {
+		checkInterrupt()
+		return *exp == "all" || *exp == name
+	}
 
 	// Cheap analytic experiments first.
 	if want("table4") {
@@ -121,8 +126,9 @@ func main() {
 	}
 
 	if want("fig2") {
-		grid := mustGrid(ladder.Options{Instr: *instr, Seed: *seed, Jobs: *jobs, TimelineInterval: *timelineInterval, Workloads: ladder.SingleWorkloads()},
-			[]string{ladder.SchemeBaseline, ladder.SchemeLocAware, ladder.SchemeOracle})
+		fig2 := opts
+		fig2.Workloads = ladder.SingleWorkloads()
+		grid := mustGrid(fig2, []string{ladder.SchemeBaseline, ladder.SchemeLocAware, ladder.SchemeOracle})
 		printRows("Figure 2 — normalized IPC (worst-case vs location-aware vs data/location-aware)",
 			grid.Speedup(), grid.Schemes)
 	}
@@ -162,77 +168,45 @@ func main() {
 	}
 
 	if want("ablation") {
-		rows, err := ladder.RangeAblation(opts, ladder.SchemeEst, 2)
-		if err != nil {
-			fail(err)
-		}
 		printRows("Section 7 — benefit retained with 2x shrunk latency range (paper ≈85%)",
-			rows, []string{"gain-full", "gain-shrunk", "retained"})
+			must(ladder.RangeAblation(opts, ladder.SchemeEst, 2)), []string{"gain-full", "gain-shrunk", "retained"})
 	}
 
 	if want("wear") {
-		rows, err := ladder.WearLevelingImpact(opts, ladder.SchemeHybrid)
-		if err != nil {
-			fail(err)
-		}
 		printRows("Section 6.4 — IPC with VWL enabled relative to without (paper ≈99%)",
-			rows, []string{"ipc-ratio", "gap-moves"})
+			must(ladder.WearLevelingImpact(opts, ladder.SchemeHybrid)), []string{"ipc-ratio", "gap-moves"})
 	}
 
 	if want("lifetime") {
-		sub := ladder.Options{Instr: *instr, Seed: *seed, Jobs: *jobs, TimelineInterval: *timelineInterval,
-			Workloads: []string{"lbm", "mcf", "mix-7"}}
-		study, err := ladder.LifetimeSweep(sub, ladder.SchemeHybrid, periods, spares)
-		if err != nil {
-			fail(err)
-		}
-		lifetimeStudy = study
+		lifetimeStudy = must(ladder.LifetimeSweep(sub, ladder.SchemeHybrid, periods, spares))
 		printRows("Decoder lifetime sweep — relative lifetime and IPC ratio vs gap-move period × spare pool",
-			study.Rows(), study.Series())
+			lifetimeStudy.Rows(), lifetimeStudy.Series())
 	}
 
 	if want("vwlmode") {
-		rows, err := ladder.VWLModeComparison(opts, ladder.SchemeEst)
-		if err != nil {
-			fail(err)
-		}
 		printRows("Section 6.4 — segment vs line VWL (metadata reads per data write, IPC)",
-			rows, []string{"segment-metareads", "line-metareads", "segment-ipc", "line-ipc"})
+			must(ladder.VWLModeComparison(opts, ladder.SchemeEst)), []string{"segment-metareads", "line-metareads", "segment-ipc", "line-ipc"})
 	}
 
 	if want("crash") {
-		rows, err := ladder.CrashRecoveryStudy(opts, ladder.SchemeEst)
-		if err != nil {
-			fail(err)
-		}
 		printRows("Section 7 — crash recovery with lazy conservative correction",
-			rows, []string{"pre-service-ns", "post-service-ns", "post-counter-gap"})
+			must(ladder.CrashRecoveryStudy(opts, ladder.SchemeEst)), []string{"pre-service-ns", "post-service-ns", "post-counter-gap"})
 	}
 
 	if want("cachesize") {
-		sub := ladder.Options{Instr: *instr, Seed: *seed, Jobs: *jobs, TimelineInterval: *timelineInterval,
-			Workloads: []string{"lbm", "mcf", "mix-7"}}
-		rows, err := ladder.CacheSizeSweep(sub, ladder.SchemeHybrid, nil)
-		if err != nil {
-			fail(err)
-		}
 		printRows("Section 6.3 — metadata cache size ablation (IPC vs default 64KB; paper <2% gain)",
-			rows, []string{"16KB", "32KB", "64KB", "128KB", "256KB"})
+			must(ladder.CacheSizeSweep(sub, ladder.SchemeHybrid, nil)), []string{"16KB", "32KB", "64KB", "128KB", "256KB"})
 	}
 
 	if want("reliability") {
-		sub := ladder.Options{Instr: *instr, Seed: *seed, Jobs: *jobs, TimelineInterval: *timelineInterval,
-			FaultSeed: *faultSeed, RetryMax: *retryMax, SpareRows: *spareRows,
-			Workloads: []string{"lbm", "mcf", "mix-7"}}
+		rel := sub
+		rel.FaultSeed, rel.RetryMax, rel.SpareRows = *faultSeed, *retryMax, *spareRows
 		rates := []float64{0.001, 0.01}
 		if *faultRate > 0 {
 			rates = []float64{*faultRate}
 		}
 		schemes := []string{ladder.SchemeBasic, ladder.SchemeEst, ladder.SchemeHybrid}
-		rows, err := ladder.ReliabilitySweep(sub, schemes, rates)
-		if err != nil {
-			fail(err)
-		}
+		rows := must(ladder.ReliabilitySweep(rel, schemes, rates))
 		series := make([]string, 0, len(schemes)*len(rates))
 		for _, s := range schemes {
 			for _, r := range rates {
@@ -244,15 +218,11 @@ func main() {
 	}
 
 	if want("lowrows") {
-		sub := ladder.Options{Instr: *instr, Seed: *seed, Jobs: *jobs, TimelineInterval: *timelineInterval,
-			Workloads: []string{"lbm", "mcf", "mix-7"}}
-		rows, err := ladder.LowPrecisionSweep(sub, nil)
-		if err != nil {
-			fail(err)
-		}
 		printRows("Section 4.2 — Hybrid precision-register ablation (avg write service ns)",
-			rows, []string{"rows=0 svc", "rows=64 svc", "rows=128 svc", "rows=256 svc", "rows=512 svc"})
+			must(ladder.LowPrecisionSweep(sub, nil)), []string{"rows=0 svc", "rows=64 svc", "rows=128 svc", "rows=256 svc", "rows=512 svc"})
 	}
+
+	checkInterrupt()
 
 	if *report != "" {
 		// -exp lifetime serializes the sweep study; every other
@@ -291,11 +261,7 @@ func mustGridReport() *ladder.GridReport {
 	if reportGrid == nil {
 		fail(fmt.Errorf("-report and -timeline-out need a grid experiment (fig2/fig12..fig17/fig15/fnw or all)"))
 	}
-	gr, err := ladder.NewGridReport(reportGrid)
-	if err != nil {
-		fail(err)
-	}
-	return gr
+	return must(ladder.NewGridReport(reportGrid))
 }
 
 // writeReport creates path and streams a JSON document into it via emit.
@@ -352,18 +318,28 @@ func fail(err error) {
 	os.Exit(1)
 }
 
-// gridProgress, when -http is set, publishes each finished grid cell to
-// the introspection server; mustGrid attaches it to every grid run.
-var gridProgress func(ladder.GridProgress)
-
-func mustGrid(opts ladder.Options, schemes []string) *ladder.Grid {
-	opts.Progress = gridProgress
-	grid, err := ladder.RunGridCtx(runCtx, opts, schemes)
+// must returns v, or fails the run on err.
+func must[T any](v T, err error) T {
 	if err != nil {
 		fail(err)
 	}
-	reportGrid = grid
-	return grid
+	return v
+}
+
+// checkInterrupt fails the run once SIGINT/SIGTERM has canceled runCtx.
+func checkInterrupt() {
+	if runCtx.Err() != nil {
+		fail(fmt.Errorf("interrupted: %w", runCtx.Err()))
+	}
+}
+
+// gridProgress, when -http is set, publishes each finished grid or study
+// cell to the introspection server; it rides in every run's Options.
+var gridProgress func(ladder.GridProgress)
+
+func mustGrid(opts ladder.Options, schemes []string) *ladder.Grid {
+	reportGrid = must(ladder.RunGridCtx(runCtx, opts, schemes))
+	return reportGrid
 }
 
 func printRows(title string, rows []sim.Row, series []string) {
@@ -434,10 +410,7 @@ func printStorage() {
 }
 
 func printLatencyModel(want func(string) bool) {
-	ts, err := ladder.DefaultTables()
-	if err != nil {
-		fail(err)
-	}
+	ts := must(ladder.DefaultTables())
 	params := ladder.DefaultCrossbarParams()
 	gran := params.N / timing.Buckets
 	if want("fig4") {

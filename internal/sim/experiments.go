@@ -24,16 +24,17 @@ type Options struct {
 	Tables *timing.TableSet
 	// Workloads restricts the workload list (nil = all sixteen).
 	Workloads []string
-	// Jobs bounds how many grid cells simulate concurrently
-	// (0 = runtime.NumCPU()). Each cell is an independent run with its
-	// own store, Env and metrics registry, so any Jobs value produces
-	// the same Grid; reports derived from it are byte-identical across
-	// Jobs settings once volatile wall-clock fields are stripped
-	// (GridReport.StripVolatile). Jobs=1 recovers fully sequential
-	// execution.
+	// Jobs bounds how many cells of a grid or study simulate
+	// concurrently (0 = runtime.NumCPU()). Each cell is an independent
+	// run with its own store, Env and metrics registry, so any Jobs value
+	// produces the same Grid and the same study rows; grid reports are
+	// byte-identical across Jobs settings once volatile wall-clock fields
+	// are stripped (GridReport.StripVolatile). Jobs=1 recovers fully
+	// sequential execution.
 	Jobs int
-	// Progress, when set, is invoked after each grid cell finishes
-	// (successfully or not). Invocations are serialized under the grid's
+	// Progress, when set, is invoked after each grid or study cell
+	// finishes (successfully or not); LifetimeSweep runs two rounds, each
+	// counting Done from 1. Invocations are serialized under the pool's
 	// callback mutex — the callback is never entered concurrently, so
 	// printProgress-style consumers need no locking of their own — but it
 	// runs on worker goroutines and must stay cheap; a slow callback
@@ -66,11 +67,12 @@ type Options struct {
 	TimelineCapacity int
 }
 
-// GridProgress reports one finished cell of a running experiment grid.
+// GridProgress reports one finished cell of a running grid or study.
 // Delivery is serialized (see Options.Progress): consumers never observe
 // two callbacks at once, and Done is monotonically increasing across
-// callbacks — though with Jobs > 1 the (Workload, Scheme) completion
-// order varies run to run.
+// one pool run's callbacks — though with Jobs > 1 the (Workload, Scheme)
+// completion order varies run to run. Study cells that share a
+// (Workload, Scheme) pair differ only in the study's swept knob.
 type GridProgress struct {
 	// Done cells out of Total have finished (including failures).
 	Done, Total int
@@ -126,77 +128,111 @@ func RunGrid(opts Options, schemes []string) (*Grid, error) {
 	return RunGridCtx(context.Background(), opts, schemes)
 }
 
-// RunGridCtx is RunGrid under a context: once ctx is canceled — or any
-// cell fails — no further cell is dispatched, already-running cells
-// abort at their next engine step (see RunCtx; a cell never stops
-// mid-cycle), and every failure is reported via errors.Join alongside
-// the context's error. A canceled grid is returned as an error, never
-// as a silently partial result.
+// RunGridCtx is RunGrid under a context; cancellation, failure, panic
+// isolation and determinism follow runCells. A canceled grid is returned
+// as an error, never as a silently partial result.
+func RunGridCtx(ctx context.Context, opts Options, schemes []string) (*Grid, error) {
+	res, err := runVariants(ctx, opts, "", sweep(schemes, func(c *Config, s string) { c.Scheme = s })...)
+	if err != nil {
+		return nil, err
+	}
+	g := &Grid{Workloads: opts.workloads(), Schemes: schemes, Results: make(map[string]map[string]*Result)}
+	for i, w := range g.Workloads {
+		g.Results[w] = make(map[string]*Result, len(schemes))
+		for j, s := range schemes {
+			g.Results[w][s] = res[i][j]
+		}
+	}
+	return g, nil
+}
+
+// runVariants runs every workload under every variant: cell [i][j] is
+// workload i's config for scheme, edited by variants[j]. Grids and
+// studies are such lists; a study then reduces the cells in the order
+// its rows accumulate them, so float sums and merges do not depend on
+// completion order.
+func runVariants(ctx context.Context, opts Options, scheme string, variants ...func(*Config)) ([][]*Result, error) {
+	ws := opts.workloads()
+	cfgs := make([]Config, 0, len(ws)*len(variants))
+	for _, w := range ws {
+		for _, v := range variants {
+			cfg := opts.config(w, scheme)
+			v(&cfg)
+			cfgs = append(cfgs, cfg)
+		}
+	}
+	flat, err := runCells(ctx, opts, cfgs)
+	if err != nil {
+		return nil, err
+	}
+	out := make([][]*Result, len(ws))
+	for i := range out {
+		out[i] = flat[i*len(variants) : (i+1)*len(variants)]
+	}
+	return out, nil
+}
+
+// runCells is the executor every grid and study cell runs through: it
+// simulates cfgs on a worker pool sized by Options.Jobs and returns the
+// results in input order. Once ctx is canceled — or any cell fails — no
+// further cell is dispatched, already-running cells abort at their next
+// engine step (see RunCtx; a cell never stops mid-cycle), and every
+// failure is reported via errors.Join alongside the context's error.
 //
 // Workers are panic-isolated: a panicking scheme or workload converts
 // to that cell's error (a *PanicError carrying the stack) and joins the
 // other failures instead of crashing the process.
 //
 // Determinism: each cell runs with its own metrics registry and memory
-// image, and Grid/report iteration follows the Workloads×Schemes order
-// regardless of completion order, so the resulting Grid is independent
-// of Options.Jobs and of scheduling. User callbacks (Options.Progress,
-// Options.CellProgress) are serialized under one mutex and never run
-// concurrently with each other.
-func RunGridCtx(ctx context.Context, opts Options, schemes []string) (*Grid, error) {
-	g := &Grid{
-		Workloads: opts.workloads(),
-		Schemes:   schemes,
-		Results:   make(map[string]map[string]*Result),
-	}
+// image and lands in its input slot regardless of completion order, so
+// the results are independent of Options.Jobs and of scheduling. User
+// callbacks (Options.Progress, Options.CellProgress) are serialized
+// under one mutex and never run concurrently with each other.
+func runCells(ctx context.Context, opts Options, cfgs []Config) ([]*Result, error) {
 	// Resolve the shared timing tables up front so workers do not race on
 	// the lazy default-table generation.
-	if opts.Tables == nil {
-		ts, err := timing.DefaultTableSet()
-		if err != nil {
-			return nil, err
-		}
-		opts.Tables = ts
-	}
-	type cell struct{ w, s string }
-	cells := make([]cell, 0, len(g.Workloads)*len(schemes))
-	for _, w := range g.Workloads {
-		g.Results[w] = make(map[string]*Result)
-		for _, s := range schemes {
-			cells = append(cells, cell{w, s})
+	for i := range cfgs {
+		if cfgs[i].Tables == nil {
+			ts, err := timing.DefaultTableSet()
+			if err != nil {
+				return nil, err
+			}
+			cfgs[i].Tables = ts
 		}
 	}
+	results := make([]*Result, len(cfgs))
 	// A cell failure cancels runCtx so queued cells never dispatch; the
 	// caller's ctx flows through, so external cancellation behaves the
 	// same way.
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	var (
-		mu         sync.Mutex // guards results, errs, done
+		mu         sync.Mutex // guards runErrs, done
 		progressMu sync.Mutex // serializes user callbacks (Progress, CellProgress)
 		runErrs    []error
 		done       int
 		wg         sync.WaitGroup
 	)
 	sem := make(chan struct{}, opts.jobs())
-	for _, c := range cells {
+	for i := range cfgs {
 		if runCtx.Err() != nil {
 			break
 		}
 		wg.Add(1)
 		sem <- struct{}{}
-		go func(c cell) {
+		go func(i int) {
 			defer func() { <-sem; wg.Done() }()
-			cfg := opts.config(c.w, c.s)
+			cfg := cfgs[i]
 			if opts.CellProgress != nil {
 				cfg.ProgressEvery = opts.ProgressEvery
 				cfg.Progress = func(p ProgressInfo) {
 					progressMu.Lock()
 					defer progressMu.Unlock()
-					opts.CellProgress(c.w, c.s, p)
+					opts.CellProgress(cfg.Workload, cfg.Scheme, p)
 				}
 			}
 			res, err := runCell(runCtx, cfg)
+			results[i] = res
 			mu.Lock()
 			done++
 			n := done
@@ -205,27 +241,25 @@ func RunGridCtx(ctx context.Context, opts Options, schemes []string) (*Grid, err
 				// one bad workload name should not mask another's error);
 				// errors.Join reports them all. The cancel stops queued
 				// cells from dispatching after the first failure.
-				runErrs = append(runErrs, fmt.Errorf("running %s/%s: %w", c.w, c.s, err))
+				runErrs = append(runErrs, fmt.Errorf("running %s/%s: %w", cfg.Workload, cfg.Scheme, err))
 				cancel()
-			} else {
-				g.Results[c.w][c.s] = res
 			}
 			mu.Unlock()
 			if opts.Progress != nil {
 				progressMu.Lock()
-				opts.Progress(GridProgress{Done: n, Total: len(cells), Workload: c.w, Scheme: c.s, Failed: err != nil})
+				opts.Progress(GridProgress{Done: n, Total: len(cfgs), Workload: cfg.Workload, Scheme: cfg.Scheme, Failed: err != nil})
 				progressMu.Unlock()
 			}
-		}(c)
+		}(i)
 	}
 	wg.Wait()
 	if ctx.Err() != nil {
-		runErrs = append(runErrs, fmt.Errorf("experiment grid canceled: %w", ctx.Err()))
+		runErrs = append(runErrs, fmt.Errorf("experiment canceled: %w", ctx.Err()))
 	}
 	if err := errors.Join(runErrs...); err != nil {
 		return nil, err
 	}
-	return g, nil
+	return results, nil
 }
 
 // Baseline returns a workload's baseline result; RunGrid callers must
@@ -385,42 +419,54 @@ func (g *Grid) FNWCancellation() []Row {
 	}, false)
 }
 
+// noEdit is the variant that runs a study's config unchanged.
+func noEdit(*Config) {}
+
+// sweep makes one variant per value, each applying set with its value.
+func sweep[T any](values []T, set func(*Config, T)) []func(*Config) {
+	out := make([]func(*Config), len(values))
+	for j, v := range values {
+		out[j] = func(c *Config) { set(c, v) }
+	}
+	return out
+}
+
+// runStudy runs a per-workload study on the pool: every workload under
+// every variant, then reduce turns each workload's cells (in variant
+// order) into that workload's row values.
+func runStudy(opts Options, scheme string, variants []func(*Config), reduce func(cells []*Result) map[string]float64) ([]Row, error) {
+	runs, err := runVariants(context.TODO(), opts, scheme, variants...)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]Row, len(runs))
+	for i, w := range opts.workloads() {
+		out[i] = Row{Workload: w, Values: reduce(runs[i])}
+	}
+	return out, nil
+}
+
 // RangeAblation runs Section 7's process-variation study: it reports the
 // fraction of a scheme's speedup retained when the timing tables' dynamic
 // range shrinks by `factor` (the paper: 2× shrink retains ~85% on
 // average).
 func RangeAblation(opts Options, scheme string, factor float64) ([]Row, error) {
-	out := make([]Row, 0, len(opts.workloads()))
-	for _, w := range opts.workloads() {
-		full := map[string]*Result{}
-		shr := map[string]*Result{}
-		for _, s := range []string{SchemeBaseline, scheme} {
-			r, err := Run(opts.config(w, s))
-			if err != nil {
-				return nil, err
-			}
-			full[s] = r
-			cfg := opts.config(w, s)
-			cfg.ShrinkRange = factor
-			r2, err := Run(cfg)
-			if err != nil {
-				return nil, err
-			}
-			shr[s] = r2
-		}
-		gainFull := full[scheme].WeightedSpeedup(full[SchemeBaseline]) - 1
-		gainShr := shr[scheme].WeightedSpeedup(shr[SchemeBaseline]) - 1
+	baseline := func(c *Config) { c.Scheme = SchemeBaseline }
+	shrink := func(c *Config) { c.ShrinkRange = factor }
+	variants := []func(*Config){baseline, noEdit, func(c *Config) { baseline(c); shrink(c) }, shrink}
+	return runStudy(opts, scheme, variants, func(r []*Result) map[string]float64 {
+		gainFull := r[1].WeightedSpeedup(r[0]) - 1
+		gainShr := r[3].WeightedSpeedup(r[2]) - 1
 		retained := 0.0
 		if gainFull > 0 {
 			retained = gainShr / gainFull
 		}
-		out = append(out, Row{Workload: w, Values: map[string]float64{
+		return map[string]float64{
 			"gain-full":   gainFull,
 			"gain-shrunk": gainShr,
 			"retained":    retained,
-		}})
-	}
-	return out, nil
+		}
+	})
 }
 
 // CrashRecoveryStudy runs Section 7's crash-consistency scenario: a power
@@ -430,26 +476,21 @@ func RangeAblation(opts Options, scheme string, factor float64) ([]Row, error) {
 // and after the crash, and the post-crash counter gap (how conservative
 // the corrected metadata still is on average).
 func CrashRecoveryStudy(opts Options, scheme string) ([]Row, error) {
-	out := make([]Row, 0, len(opts.workloads()))
-	for _, w := range opts.workloads() {
-		cfg := opts.config(w, scheme)
-		cfg.CrashAtInstr = cfg.InstrPerCore / 2
-		if cfg.CrashAtInstr == 0 {
-			cfg.CrashAtInstr = 100_000
+	crash := func(c *Config) {
+		c.CrashAtInstr = c.InstrPerCore / 2
+		if c.CrashAtInstr == 0 {
+			c.CrashAtInstr = 100_000
 		}
-		res, err := Run(cfg)
-		if err != nil {
-			return nil, err
-		}
-		r := Row{Workload: w, Values: map[string]float64{}}
-		if res.PreCrashStats != nil && res.PostCrashStats != nil {
-			r.Values["pre-service-ns"] = res.PreCrashStats.AvgWriteServiceNs()
-			r.Values["post-service-ns"] = res.PostCrashStats.AvgWriteServiceNs()
-			r.Values["post-counter-gap"] = res.PostCrashStats.AvgCounterDiff()
-		}
-		out = append(out, r)
 	}
-	return out, nil
+	return runStudy(opts, scheme, []func(*Config){crash}, func(r []*Result) map[string]float64 {
+		v := map[string]float64{}
+		if pre, post := r[0].PreCrashStats, r[0].PostCrashStats; pre != nil && post != nil {
+			v["pre-service-ns"] = pre.AvgWriteServiceNs()
+			v["post-service-ns"] = post.AvgWriteServiceNs()
+			v["post-counter-gap"] = post.AvgCounterDiff()
+		}
+		return v
+	})
 }
 
 // VWLModeComparison contrasts segment-based and line-based vertical wear
@@ -457,27 +498,23 @@ func CrashRecoveryStudy(opts Options, scheme string) ([]Row, error) {
 // line-granularity scatter breaks the page→metadata-line association, so
 // metadata reads per data write rise and IPC falls.
 func VWLModeComparison(opts Options, scheme string) ([]Row, error) {
-	out := make([]Row, 0, len(opts.workloads()))
-	for _, w := range opts.workloads() {
-		r := Row{Workload: w, Values: map[string]float64{}}
-		for _, mode := range []string{"segment", "line"} {
-			cfg := opts.config(w, scheme)
-			cfg.WearLeveling = true
-			cfg.VWLMode = mode
-			res, err := Run(cfg)
-			if err != nil {
-				return nil, err
-			}
+	modes := []string{"segment", "line"}
+	variants := sweep(modes, func(c *Config, mode string) {
+		c.WearLeveling = true
+		c.VWLMode = mode
+	})
+	return runStudy(opts, scheme, variants, func(r []*Result) map[string]float64 {
+		v := map[string]float64{}
+		for j, mode := range modes {
 			metaPerWrite := 0.0
-			if res.Stats.DataWrites > 0 {
-				metaPerWrite = float64(res.Stats.MetaReads) / float64(res.Stats.DataWrites)
+			if r[j].Stats.DataWrites > 0 {
+				metaPerWrite = float64(r[j].Stats.MetaReads) / float64(r[j].Stats.DataWrites)
 			}
-			r.Values[mode+"-ipc"] = res.AvgIPC()
-			r.Values[mode+"-metareads"] = metaPerWrite
+			v[mode+"-ipc"] = r[j].AvgIPC()
+			v[mode+"-metareads"] = metaPerWrite
 		}
-		out = append(out, r)
-	}
-	return out, nil
+		return v
+	})
 }
 
 // CacheSizeSweep runs the metadata-cache ablation the paper mentions in
@@ -488,29 +525,21 @@ func CacheSizeSweep(opts Options, scheme string, sizesKB []int) ([]Row, error) {
 	if len(sizesKB) == 0 {
 		sizesKB = []int{16, 32, 64, 128, 256}
 	}
-	out := make([]Row, 0, len(opts.workloads()))
-	for _, w := range opts.workloads() {
-		base, err := Run(opts.config(w, scheme))
-		if err != nil {
-			return nil, err
-		}
-		r := Row{Workload: w, Values: map[string]float64{}}
-		for _, kb := range sizesKB {
-			cfg := opts.config(w, scheme)
-			cfg.MetaCache = core.MetaCacheConfig{SizeBytes: kb << 10, Ways: 4, SpillSize: 16}
-			res, err := Run(cfg)
-			if err != nil {
-				return nil, err
-			}
+	// Variant 0 is the default-cache reference; variant j+1 is sizesKB[j].
+	variants := append([]func(*Config){noEdit}, sweep(sizesKB, func(c *Config, kb int) {
+		c.MetaCache = core.MetaCacheConfig{SizeBytes: kb << 10, Ways: 4, SpillSize: 16}
+	})...)
+	return runStudy(opts, scheme, variants, func(r []*Result) map[string]float64 {
+		v := map[string]float64{}
+		for j, kb := range sizesKB {
 			rel := 0.0
-			if base.AvgIPC() > 0 {
-				rel = res.AvgIPC() / base.AvgIPC()
+			if r[0].AvgIPC() > 0 {
+				rel = r[j+1].AvgIPC() / r[0].AvgIPC()
 			}
-			r.Values[fmt.Sprintf("%dKB", kb)] = rel
+			v[fmt.Sprintf("%dKB", kb)] = rel
 		}
-		out = append(out, r)
-	}
-	return out, nil
+		return v
+	})
 }
 
 // LowPrecisionSweep ablates LADDER-Hybrid's precision control register:
@@ -521,24 +550,19 @@ func LowPrecisionSweep(opts Options, rows []int) ([]Row, error) {
 	if len(rows) == 0 {
 		rows = []int{0, 64, 128, 256, 512}
 	}
-	out := make([]Row, 0, len(opts.workloads()))
-	for _, w := range opts.workloads() {
-		r := Row{Workload: w, Values: map[string]float64{}}
-		for _, n := range rows {
-			cfg := opts.config(w, SchemeHybrid)
-			cfg.HybridLowRows = n
-			if n == 0 {
-				cfg.HybridLowRows = -1
-			}
-			res, err := Run(cfg)
-			if err != nil {
-				return nil, err
-			}
-			r.Values[fmt.Sprintf("rows=%d svc", n)] = res.Stats.AvgWriteServiceNs()
+	variants := sweep(rows, func(c *Config, n int) {
+		c.HybridLowRows = n
+		if n == 0 {
+			c.HybridLowRows = -1
 		}
-		out = append(out, r)
-	}
-	return out, nil
+	})
+	return runStudy(opts, SchemeHybrid, variants, func(r []*Result) map[string]float64 {
+		v := map[string]float64{}
+		for j, n := range rows {
+			v[fmt.Sprintf("rows=%d svc", n)] = r[j].Stats.AvgWriteServiceNs()
+		}
+		return v
+	})
 }
 
 // ReliabilitySweep runs the write-fault reliability study: every
@@ -556,27 +580,25 @@ func ReliabilitySweep(opts Options, schemes []string, rates []float64) ([]Row, e
 	if len(rates) == 0 {
 		rates = []float64{0.001, 0.01}
 	}
-	out := make([]Row, 0, len(opts.workloads()))
-	for _, w := range opts.workloads() {
-		r := Row{Workload: w, Values: map[string]float64{}}
-		for _, s := range schemes {
-			for _, rate := range rates {
-				cfg := opts.config(w, s)
-				cfg.FaultRate = rate
-				res, err := Run(cfg)
-				if err != nil {
-					return nil, fmt.Errorf("reliability %s/%s@%g: %w", w, s, rate, err)
-				}
-				v := 0.0
-				if res.Faults != nil && res.Stats.DataWrites > 0 {
-					v = 1000 * float64(res.Faults.Retries) / float64(res.Stats.DataWrites)
-				}
-				r.Values[fmt.Sprintf("%s@%g", s, rate)] = v
+	// Variants are scheme-major, rate-minor; each names its own scheme.
+	var variants []func(*Config)
+	var keys []string
+	for _, s := range schemes {
+		for _, rate := range rates {
+			variants = append(variants, func(c *Config) { c.Scheme, c.FaultRate = s, rate })
+			keys = append(keys, fmt.Sprintf("%s@%g", s, rate))
+		}
+	}
+	return runStudy(opts, "", variants, func(r []*Result) map[string]float64 {
+		v := map[string]float64{}
+		for j, key := range keys {
+			v[key] = 0
+			if r[j].Faults != nil && r[j].Stats.DataWrites > 0 {
+				v[key] = 1000 * float64(r[j].Faults.Retries) / float64(r[j].Stats.DataWrites)
 			}
 		}
-		out = append(out, r)
-	}
-	return out, nil
+		return v
+	})
 }
 
 // LifetimeCell is one (gap-move period, spare-pool size) combination's
@@ -627,21 +649,17 @@ type LifetimeStudy struct {
 // row capacity the device fails over to, so the reported ratio is
 //
 //	(baseMax / effMax) / overhead · (1 + spares·banks/touchedRows)
-func relativeLifetime(base, res *Result, cfg *Config, spares int) float64 {
+//
+// Study cells run the default geometry and 256-row VWL segments: Options
+// sets neither.
+func relativeLifetime(base, res *Result, spares int) float64 {
 	touched := float64(res.TouchedRows)
 	total := float64(res.TotalStoreWrites)
 	if touched == 0 || total == 0 {
 		return 1
 	}
-	geom := cfg.Geom
-	if geom == (reram.Geometry{}) {
-		geom = reram.DefaultGeometry()
-	}
-	segRows := cfg.VWLSegmentRows
-	if segRows == 0 {
-		segRows = 256
-	}
-	segments := float64(geom.Rows()/uint64(segRows)) + 1
+	geom := reram.DefaultGeometry()
+	segments := float64(geom.Rows()/256) + 1
 	gapMoves := 0.0
 	if res.Remap != nil {
 		gapMoves = float64(res.Remap.GapMoves)
@@ -680,48 +698,55 @@ func LifetimeSweep(opts Options, scheme string, periods, spares []int) (*Lifetim
 		GapPeriods: periods,
 		SpareRows:  spares,
 	}
-	bases := make(map[string]*Result, len(study.Workloads))
-	for _, w := range study.Workloads {
-		res, err := Run(opts.config(w, scheme))
-		if err != nil {
-			return nil, fmt.Errorf("lifetime baseline %s/%s: %w", w, scheme, err)
-		}
-		bases[w] = res
+	// Two rounds: each leveled cell's wear limit derives from its
+	// workload's baseline, so the baselines run first.
+	baseRuns, err := runVariants(context.TODO(), opts, scheme, noEdit)
+	if err != nil {
+		return nil, fmt.Errorf("lifetime baseline: %w", err)
 	}
+	bases := make(map[string]*Result, len(study.Workloads))
+	for i, w := range study.Workloads {
+		bases[w] = baseRuns[i][0]
+	}
+	// One variant per cell, gap-period-major, spare-pool-minor.
+	var variants []func(*Config)
 	for _, p := range periods {
 		for _, sp := range spares {
-			cell := LifetimeCell{GapPeriod: p, SpareRows: sp}
-			for _, w := range study.Workloads {
-				base := bases[w]
-				cfg := opts.config(w, scheme)
-				cfg.WearLeveling = true
-				cfg.VWLPeriod = p
-				cfg.SpareRows = sp
+			study.Cells = append(study.Cells, LifetimeCell{GapPeriod: p, SpareRows: sp})
+			variants = append(variants, func(c *Config) {
+				c.WearLeveling = true
+				c.VWLPeriod = p
+				c.SpareRows = sp
 				if sp == 0 {
-					cfg.SpareRows = -1 // explicit "no spares", not the default pool
+					c.SpareRows = -1 // explicit "no spares", not the default pool
 				}
-				cfg.ProactiveWearLimit = base.MaxRowWrites/2 + 1
-				res, err := Run(cfg)
-				if err != nil {
-					return nil, fmt.Errorf("lifetime %s gap=%d spares=%d: %w", w, p, sp, err)
-				}
-				var st remap.Stats
-				if res.Remap != nil {
-					st = *res.Remap
-				}
-				study.Remap.Merge(st)
-				cell.GapMoves += st.GapMoves
-				cell.SpareRemaps += st.SpareRemaps
-				cell.RelativeLifetime += relativeLifetime(base, res, &cfg, sp)
-				if base.AvgIPC() > 0 {
-					cell.IPCRatio += res.AvgIPC() / base.AvgIPC()
-				}
-			}
-			n := float64(len(study.Workloads))
-			cell.RelativeLifetime /= n
-			cell.IPCRatio /= n
-			study.Cells = append(study.Cells, cell)
+				c.ProactiveWearLimit = bases[c.Workload].MaxRowWrites/2 + 1
+			})
 		}
+	}
+	runs, err := runVariants(context.TODO(), opts, scheme, variants...)
+	if err != nil {
+		return nil, fmt.Errorf("lifetime: %w", err)
+	}
+	for j := range study.Cells {
+		cell := &study.Cells[j]
+		for i, w := range study.Workloads {
+			base, res := bases[w], runs[i][j]
+			var st remap.Stats
+			if res.Remap != nil {
+				st = *res.Remap
+			}
+			study.Remap.Merge(st)
+			cell.GapMoves += st.GapMoves
+			cell.SpareRemaps += st.SpareRemaps
+			cell.RelativeLifetime += relativeLifetime(base, res, cell.SpareRows)
+			if base.AvgIPC() > 0 {
+				cell.IPCRatio += res.AvgIPC() / base.AvgIPC()
+			}
+		}
+		n := float64(len(study.Workloads))
+		cell.RelativeLifetime /= n
+		cell.IPCRatio /= n
 	}
 	return study, nil
 }
@@ -762,26 +787,16 @@ func (s *LifetimeStudy) Rows() []Row {
 // WearLevelingImpact runs Section 6.4's performance check: the IPC cost
 // of enabling segment-based VWL under a LADDER scheme.
 func WearLevelingImpact(opts Options, scheme string) ([]Row, error) {
-	out := make([]Row, 0, len(opts.workloads()))
-	for _, w := range opts.workloads() {
-		plain, err := Run(opts.config(w, scheme))
-		if err != nil {
-			return nil, err
-		}
-		cfg := opts.config(w, scheme)
-		cfg.WearLeveling = true
-		wl, err := Run(cfg)
-		if err != nil {
-			return nil, err
-		}
+	variants := []func(*Config){noEdit, func(c *Config) { c.WearLeveling = true }}
+	return runStudy(opts, scheme, variants, func(r []*Result) map[string]float64 {
+		plain, wl := r[0], r[1]
 		ratio := 0.0
 		if plain.AvgIPC() > 0 {
 			ratio = wl.AvgIPC() / plain.AvgIPC()
 		}
-		out = append(out, Row{Workload: w, Values: map[string]float64{
+		return map[string]float64{
 			"ipc-ratio": ratio,
 			"gap-moves": float64(wl.GapMoves),
-		}})
-	}
-	return out, nil
+		}
+	})
 }

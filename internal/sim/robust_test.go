@@ -37,31 +37,49 @@ func registerChaosScheme() {
 // cell's worker used to kill the whole process; now it converts to that
 // cell's error — stack included — and the grid returns it like any
 // other failure while the process (and this test binary) survives.
+// Study cells run on the same pool, so a study with a panicking scheme
+// fails the same way instead of crashing.
 func TestGridPanicIsolation(t *testing.T) {
 	registerChaosScheme()
-	chaos.Arm("sim.scheme.enqueue", chaos.Action{Panic: "injected scheme bug", Times: 1})
-	defer chaos.Reset()
+	for _, tc := range []struct {
+		name string
+		run  func(Options) error
+	}{
+		{"grid", func(o Options) error {
+			_, err := RunGridCtx(context.Background(), o, []string{chaosSchemeName})
+			return err
+		}},
+		{"study/crash", func(o Options) error {
+			_, err := CrashRecoveryStudy(o, chaosSchemeName)
+			return err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			chaos.Arm("sim.scheme.enqueue", chaos.Action{Panic: "injected scheme bug", Times: 1})
+			defer chaos.Reset()
 
-	opts := Options{
-		Instr: 5_000, Seed: 42, Tables: smallTables(t),
-		Workloads: []string{"astar"}, Jobs: 1,
-	}
-	_, err := RunGridCtx(context.Background(), opts, []string{chaosSchemeName})
-	if err == nil {
-		t.Fatal("grid with a panicking scheme must fail")
-	}
-	var pe *PanicError
-	if !errors.As(err, &pe) {
-		t.Fatalf("error does not unwrap to *PanicError: %v", err)
-	}
-	if pe.Value != "injected scheme bug" {
-		t.Fatalf("panic value = %v, want the injected one", pe.Value)
-	}
-	if !strings.Contains(string(pe.Stack), "Enqueue") {
-		t.Fatalf("panic stack does not show the panic site:\n%s", pe.Stack)
-	}
-	if !strings.Contains(err.Error(), "astar/"+chaosSchemeName) {
-		t.Fatalf("error does not name the failed cell: %v", err)
+			opts := Options{
+				Instr: 5_000, Seed: 42, Tables: smallTables(t),
+				Workloads: []string{"astar"}, Jobs: 1,
+			}
+			err := tc.run(opts)
+			if err == nil {
+				t.Fatal("a run with a panicking scheme must fail")
+			}
+			var pe *PanicError
+			if !errors.As(err, &pe) {
+				t.Fatalf("error does not unwrap to *PanicError: %v", err)
+			}
+			if pe.Value != "injected scheme bug" {
+				t.Fatalf("panic value = %v, want the injected one", pe.Value)
+			}
+			if !strings.Contains(string(pe.Stack), "Enqueue") {
+				t.Fatalf("panic stack does not show the panic site:\n%s", pe.Stack)
+			}
+			if !strings.Contains(err.Error(), "astar/"+chaosSchemeName) {
+				t.Fatalf("error does not name the failed cell: %v", err)
+			}
+		})
 	}
 }
 

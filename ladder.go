@@ -81,7 +81,7 @@ type (
 	// Config.Progress.
 	ProgressInfo = sim.ProgressInfo
 	// GridProgress is the per-cell completion notice delivered to
-	// Options.Progress during RunGrid.
+	// Options.Progress during RunGrid and the studies.
 	GridProgress = sim.GridProgress
 	// SchemeFactory builds one controller's private write-scheme instance;
 	// register one under a name with RegisterScheme.
