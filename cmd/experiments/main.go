@@ -27,8 +27,10 @@ import (
 
 	"ladder"
 	"ladder/internal/core"
+	"ladder/internal/fault"
 	"ladder/internal/introspect"
 	"ladder/internal/logging"
+	"ladder/internal/remap"
 	"ladder/internal/sim"
 	"ladder/internal/timing"
 )
@@ -52,8 +54,8 @@ func main() {
 
 		faultRate = flag.Float64("fault-rate", 0, "override the reliability sweep's fault-rate list with this single rate, in (0, 1); see docs/FAULTS.md")
 		faultSeed = flag.Int64("fault-seed", 0, "fault-injector PRNG seed for reliability runs (0 = reuse -seed)")
-		retryMax  = flag.Int("retry-max", 3, "program-and-verify reissue cap per write in reliability runs (0 disables reissues)")
-		spareRows = flag.Int("spare-rows", 32, "per-bank spare-row pool in reliability runs (0 disables remapping)")
+		retryMax  = flag.Int("retry-max", 0, fmt.Sprintf("program-and-verify reissue cap per write in reliability runs (0 = default %d, negative disables reissues)", fault.DefaultRetryMax))
+		spareRows = flag.Int("spare-rows", 0, fmt.Sprintf("per-bank spare-row pool in reliability runs (0 = default %d, negative disables remapping)", remap.DefaultSpareRows))
 
 		gapPeriods = flag.String("gap-periods", "", "comma-separated gap-move periods for the lifetime sweep (empty = defaults)")
 		spareGrid  = flag.String("spare-grid", "", "comma-separated spare-pool sizes for the lifetime sweep (empty = defaults)")
@@ -72,10 +74,6 @@ func main() {
 	switch {
 	case *faultRate < 0 || *faultRate >= 1:
 		fail(fmt.Errorf("-fault-rate must be in [0, 1), got %g", *faultRate))
-	case *retryMax < 0:
-		fail(fmt.Errorf("-retry-max must be >= 0 (0 disables reissues), got %d", *retryMax))
-	case *spareRows < 0:
-		fail(fmt.Errorf("-spare-rows must be >= 0 (0 disables remapping), got %d", *spareRows))
 	case *jobs < 0:
 		fail(fmt.Errorf("-jobs must be >= 0 (0 = one worker per CPU), got %d", *jobs))
 	case *timelineOut != "" && *timelineInterval == 0:

@@ -6,14 +6,12 @@ import (
 )
 
 // validateFlags rejects out-of-range numeric flags before a run starts:
-// a bad sampling rate or fault knob should fail fast with a clear
+// a bad sampling rate or fault rate should fail fast with a clear
 // message, not surface minutes later from deep inside the simulator
-// (or, worse, silently disable the feature it was meant to tune).
-//
-// Zero is a meaningful value for -retry-max, -spare-rows and
-// -remap-penalty — it disables the feature outright rather than falling
-// back to the default — so only negatives are rejected there.
-func validateFlags(traceSample, traceSlowest int, faultRate float64, retryMax, spareRows int, remapPenalty float64) error {
+// (or, worse, silently disable the feature it was meant to tune). The
+// fault and remap knobs need no check here: every value means something
+// under sim.Config's convention (0 = default, negative = off).
+func validateFlags(traceSample, traceSlowest int, faultRate float64) error {
 	switch {
 	case traceSample < 1:
 		return fmt.Errorf("-trace-sample must be >= 1 (record one in every N transactions), got %d", traceSample)
@@ -21,12 +19,6 @@ func validateFlags(traceSample, traceSlowest int, faultRate float64, retryMax, s
 		return fmt.Errorf("-trace-slowest must be >= 0 (0 disables the digest), got %d", traceSlowest)
 	case faultRate < 0 || faultRate >= 1:
 		return fmt.Errorf("-fault-rate must be in [0, 1) (0 disables injection), got %g", faultRate)
-	case retryMax < 0:
-		return fmt.Errorf("-retry-max must be >= 0 (0 disables reissues), got %d", retryMax)
-	case spareRows < 0:
-		return fmt.Errorf("-spare-rows must be >= 0 (0 disables spare remapping), got %d", spareRows)
-	case remapPenalty < 0:
-		return fmt.Errorf("-remap-penalty must be >= 0 ns (0 makes remapped-row indirection free), got %g", remapPenalty)
 	}
 	return nil
 }
@@ -39,24 +31,6 @@ func validateTimelineFlags(interval uint64, out string) error {
 		return fmt.Errorf("-timeline-out requires -timeline-interval > 0 (no epochs are recorded otherwise)")
 	}
 	return nil
-}
-
-// flagCount maps the CLI convention (flag value is the literal setting;
-// 0 disables) onto sim.Config's backward-compatible convention (0 means
-// default, negative means disabled).
-func flagCount(v int) int {
-	if v == 0 {
-		return -1
-	}
-	return v
-}
-
-// flagNs is flagCount for nanosecond-valued float flags.
-func flagNs(v float64) float64 {
-	if v == 0 {
-		return -1
-	}
-	return v
 }
 
 // validateServeFlags rejects out-of-range service-mode knobs (see

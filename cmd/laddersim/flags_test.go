@@ -10,36 +10,24 @@ func TestValidateFlags(t *testing.T) {
 	type in struct {
 		sample, slowest int
 		rate            float64
-		retry, spares   int
-		penalty         float64
 	}
-	def := in{sample: 1, slowest: 0, rate: 0, retry: 3, spares: 32, penalty: 2}
 	cases := []struct {
 		name    string
 		in      in
 		wantErr string // empty = valid
 	}{
-		{"defaults", def, ""},
-		{"typical injection", in{1, 5, 0.01, 3, 32, 2}, ""},
-		{"rate just below one", in{1, 0, 0.999, 1, 1, 2}, ""},
-		// Zero is an explicit "off", not an unset default: each of these
-		// must validate so the sentinel mapping in flagCount/flagNs can
-		// carry the distinction into the simulator config.
-		{"zero retries disables reissues", in{1, 0, 0.01, 0, 32, 2}, ""},
-		{"zero spares disables remapping", in{1, 0, 0.01, 3, 0, 2}, ""},
-		{"zero penalty is free indirection", in{1, 0, 0.01, 3, 32, 0}, ""},
-		{"zero sample", in{0, 0, 0, 3, 32, 2}, "-trace-sample"},
-		{"negative sample", in{-4, 0, 0, 3, 32, 2}, "-trace-sample"},
-		{"negative slowest", in{1, -1, 0, 3, 32, 2}, "-trace-slowest"},
-		{"rate one", in{1, 0, 1, 3, 32, 2}, "-fault-rate"},
-		{"rate negative", in{1, 0, -0.5, 3, 32, 2}, "-fault-rate"},
-		{"negative retries", in{1, 0, 0.01, -1, 32, 2}, "-retry-max"},
-		{"negative spares", in{1, 0, 0.01, 3, -1, 2}, "-spare-rows"},
-		{"negative penalty", in{1, 0, 0.01, 3, 32, -2}, "-remap-penalty"},
+		{"defaults", in{1, 0, 0}, ""},
+		{"typical injection", in{1, 5, 0.01}, ""},
+		{"rate just below one", in{1, 0, 0.999}, ""},
+		{"zero sample", in{0, 0, 0}, "-trace-sample"},
+		{"negative sample", in{-4, 0, 0}, "-trace-sample"},
+		{"negative slowest", in{1, -1, 0}, "-trace-slowest"},
+		{"rate one", in{1, 0, 1}, "-fault-rate"},
+		{"rate negative", in{1, 0, -0.5}, "-fault-rate"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			err := validateFlags(c.in.sample, c.in.slowest, c.in.rate, c.in.retry, c.in.spares, c.in.penalty)
+			err := validateFlags(c.in.sample, c.in.slowest, c.in.rate)
 			if c.wantErr == "" {
 				if err != nil {
 					t.Fatalf("unexpected error: %v", err)
@@ -53,25 +41,6 @@ func TestValidateFlags(t *testing.T) {
 				t.Fatalf("error %q does not name the offending flag %q", err, c.wantErr)
 			}
 		})
-	}
-}
-
-// TestFlagSentinelMapping pins the translation between the CLI
-// convention (literal value, 0 = off) and sim.Config's convention
-// (0 = default, negative = off): an explicit flag zero must reach the
-// simulator as "disabled", never as "use the default".
-func TestFlagSentinelMapping(t *testing.T) {
-	if got := flagCount(0); got != -1 {
-		t.Errorf("flagCount(0) = %d, want -1 (disabled)", got)
-	}
-	if got := flagCount(3); got != 3 {
-		t.Errorf("flagCount(3) = %d, want 3", got)
-	}
-	if got := flagNs(0); got != -1 {
-		t.Errorf("flagNs(0) = %v, want -1 (free)", got)
-	}
-	if got := flagNs(2.5); got != 2.5 {
-		t.Errorf("flagNs(2.5) = %v, want 2.5", got)
 	}
 }
 

@@ -24,9 +24,11 @@ import (
 	"time"
 
 	"ladder"
+	"ladder/internal/fault"
 	"ladder/internal/introspect"
 	"ladder/internal/logging"
 	"ladder/internal/metrics"
+	"ladder/internal/remap"
 	"ladder/internal/timeline"
 )
 
@@ -56,9 +58,9 @@ func main() {
 
 		faultRate     = flag.Float64("fault-rate", 0, "base transient write-fault probability in [0, 1); 0 disables injection (see docs/FAULTS.md)")
 		faultSeed     = flag.Int64("fault-seed", 0, "fault-injector PRNG seed (0 = reuse -seed)")
-		retryMax      = flag.Int("retry-max", 3, "program-and-verify reissue cap per write (0 disables reissues)")
-		spareRows     = flag.Int("spare-rows", 32, "per-bank spare-row pool for remapping failed rows (0 disables remapping)")
-		remapPenalty  = flag.Float64("remap-penalty", 2, "extra decoder-indirection latency in ns charged to accesses of remapped rows (0 = free; see docs/REMAP.md)")
+		retryMax      = flag.Int("retry-max", 0, fmt.Sprintf("program-and-verify reissue cap per write (0 = default %d, negative disables reissues)", fault.DefaultRetryMax))
+		spareRows     = flag.Int("spare-rows", 0, fmt.Sprintf("per-bank spare-row pool for remapping failed rows (0 = default %d, negative disables remapping)", remap.DefaultSpareRows))
+		remapPenalty  = flag.Float64("remap-penalty", 0, fmt.Sprintf("extra decoder-indirection latency in ns charged to accesses of remapped rows (0 = default %d, negative = free; see docs/REMAP.md)", remap.DefaultPenaltyNs))
 		proactiveWear = flag.Uint64("proactive-wear", 0, "proactively retire rows whose effective write count reaches this limit (0 disables; see docs/REMAP.md)")
 
 		serve      = flag.Bool("serve", false, "run as a long-lived simulation service: HTTP job queue on -http (default :8080; see docs/SERVICE.md)")
@@ -83,7 +85,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "laddersim:", err)
 		os.Exit(2)
 	}
-	if err := validateFlags(*traceSample, *traceSlowest, *faultRate, *retryMax, *spareRows, *remapPenalty); err != nil {
+	if err := validateFlags(*traceSample, *traceSlowest, *faultRate); err != nil {
 		lg.Error("invalid flags", "err", err)
 		os.Exit(2)
 	}
@@ -133,10 +135,10 @@ func main() {
 		TraceFile:    *traceIn,
 		FaultRate:    *faultRate,
 		FaultSeed:    *faultSeed,
-		RetryMax:     flagCount(*retryMax),
-		SpareRows:    flagCount(*spareRows),
+		RetryMax:     *retryMax,
+		SpareRows:    *spareRows,
 
-		RemapPenaltyNs:     flagNs(*remapPenalty),
+		RemapPenaltyNs:     *remapPenalty,
 		ProactiveWearLimit: *proactiveWear,
 
 		TimelineInterval: *timelineInterval,

@@ -54,28 +54,18 @@ func RegisterScheme(name string, factory SchemeFactory) {
 	schemeRegistry.order = append(schemeRegistry.order, name)
 }
 
-// NewScheme instantiates a registered scheme by name. Each memory
-// controller needs its own instance (schemes own private metadata
-// caches), so callers invoke this once per channel. Lookup is exact
-// first, then case-insensitive, so CLI spellings like "ladder-hybrid"
-// resolve to the registered figure label.
+// NewScheme instantiates a registered scheme by name (resolved through
+// CanonicalScheme). Each memory controller needs its own instance
+// (schemes own private metadata caches), so callers invoke this once
+// per channel.
 func NewScheme(name string, env *Env, cache MetaCacheConfig) (Scheme, error) {
+	canon, err := CanonicalScheme(name)
+	if err != nil {
+		return nil, err
+	}
 	schemeRegistry.RLock()
-	factory := schemeRegistry.factories[name]
-	if factory == nil {
-		for reg, f := range schemeRegistry.factories {
-			if strings.EqualFold(reg, name) {
-				factory = f
-				break
-			}
-		}
-	}
+	factory := schemeRegistry.factories[canon]
 	schemeRegistry.RUnlock()
-	if factory == nil {
-		known := RegisteredSchemes()
-		sort.Strings(known)
-		return nil, fmt.Errorf("core: unknown scheme %q (registered: %v)", name, known)
-	}
 	return factory(env, cache)
 }
 
@@ -87,20 +77,25 @@ func RegisteredSchemes() []string {
 	return append([]string(nil), schemeRegistry.order...)
 }
 
-// SchemeRegistered reports whether a name resolves in the registry
-// (under the same exact-then-case-insensitive rule as NewScheme).
-func SchemeRegistered(name string) bool {
+// CanonicalScheme resolves a scheme name to its registered spelling: an
+// exact match first, then the first case-insensitive match in
+// registration order, so CLI spellings like "ladder-hybrid" resolve to
+// the figure label deterministically. Every front end and the simulator
+// resolve names through this one rule.
+func CanonicalScheme(name string) (string, error) {
 	schemeRegistry.RLock()
 	defer schemeRegistry.RUnlock()
 	if _, ok := schemeRegistry.factories[name]; ok {
-		return true
+		return name, nil
 	}
-	for reg := range schemeRegistry.factories {
+	for _, reg := range schemeRegistry.order {
 		if strings.EqualFold(reg, name) {
-			return true
+			return reg, nil
 		}
 	}
-	return false
+	known := append([]string(nil), schemeRegistry.order...)
+	sort.Strings(known)
+	return "", fmt.Errorf("core: unknown scheme %q (registered: %v)", name, known)
 }
 
 // The built-in schemes register at init time, in evaluation order.

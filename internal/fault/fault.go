@@ -22,11 +22,6 @@ import (
 	"fmt"
 )
 
-// UseDefault is the sentinel distinguishing "unset, use the default"
-// from an explicit zero: RetryMax = UseDefault selects DefaultRetryMax,
-// while RetryMax = 0 genuinely disables program-and-verify reissues.
-const UseDefault = -1
-
 // Default knobs; see Config.
 const (
 	// DefaultRetryMax is the program-and-verify reissue cap per write.
@@ -52,28 +47,25 @@ type Config struct {
 	Rate float64
 	// Seed seeds the injector's private PRNG stream.
 	Seed int64
-	// RetryMax caps program-and-verify reissues per write. UseDefault
-	// selects DefaultRetryMax; an explicit 0 disables reissues entirely
-	// (every transient failure goes straight to the remap path).
+	// RetryMax caps program-and-verify reissues per write, taken as
+	// given: 0 disables reissues entirely (every transient failure goes
+	// straight to the remap path). sim.Config resolves its default
+	// (DefaultRetryMax) before building the injector.
 	RetryMax int
 	// WearLimit is the effective per-row write count beyond which writes
 	// fail permanently until the row is remapped (0 = default 1e8).
 	WearLimit uint64
 }
 
-// withDefaults fills unset fields, resolving the UseDefault sentinel.
+// withDefaults fills unset fields.
 func (c Config) withDefaults() Config {
-	if c.RetryMax == UseDefault {
-		c.RetryMax = DefaultRetryMax
-	}
 	if c.WearLimit == 0 {
 		c.WearLimit = DefaultWearLimit
 	}
 	return c
 }
 
-// Validate reports whether the configuration is usable (after the
-// UseDefault sentinel is resolved).
+// Validate reports whether the configuration is usable.
 func (c Config) Validate() error {
 	switch {
 	case c.Rate < 0 || c.Rate >= 1:

@@ -22,11 +22,10 @@ func TestConfigValidate(t *testing.T) {
 	}{
 		{"zero value", Config{}, true},
 		{"typical", Config{Rate: 0.01, Seed: 7, RetryMax: 3}, true},
-		{"sentinel retries", Config{Rate: 0.01, RetryMax: UseDefault}, true},
 		{"explicit zero retries", Config{Rate: 0.01, RetryMax: 0}, true},
 		{"rate one", Config{Rate: 1}, false},
 		{"rate negative", Config{Rate: -0.1}, false},
-		{"retry below sentinel", Config{RetryMax: -2}, false},
+		{"negative retries", Config{RetryMax: -1}, false},
 	}
 	for _, c := range cases {
 		_, err := NewInjector(c.cfg)
@@ -36,13 +35,10 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
-// TestDefaultsApplied pins the UseDefault sentinel semantics: only the
-// sentinel selects the default; an explicit zero means "no reissues" and
-// survives defaulting untouched.
+// TestDefaultsApplied pins what the injector defaults: only the wear
+// limit. RetryMax is taken as given (sim.Config resolves its default), so
+// an explicit zero means "no reissues" and survives untouched.
 func TestDefaultsApplied(t *testing.T) {
-	if in := mustInjector(t, Config{Rate: 0.01, RetryMax: UseDefault}); in.RetryMax() != DefaultRetryMax {
-		t.Errorf("RetryMax(UseDefault) = %d, want default %d", in.RetryMax(), DefaultRetryMax)
-	}
 	if in := mustInjector(t, Config{Rate: 0.01, RetryMax: 0}); in.RetryMax() != 0 {
 		t.Errorf("RetryMax(0) = %d, want 0 (reissues disabled, not defaulted)", in.RetryMax())
 	}

@@ -53,7 +53,7 @@ func basicScheme(t *testing.T) func(*core.Env) core.Scheme {
 // metered, the reissues counted, and the data still lands.
 func TestVerifyFailureReissuesAndPersists(t *testing.T) {
 	h, inj, reg := newFaultHarness(t, estScheme(t),
-		fault.Config{Rate: 0.9, Seed: 1, RetryMax: fault.UseDefault}, remap.UseDefault)
+		fault.Config{Rate: 0.9, Seed: 1, RetryMax: fault.DefaultRetryMax}, remap.DefaultSpareRows)
 	var data bits.Line
 	for i := range data {
 		data[i] = byte(i * 5)
@@ -92,7 +92,7 @@ func TestVerifyFailureReissuesAndPersists(t *testing.T) {
 // re-fail at the same margin.
 func TestRetryEscalatesPulseLatency(t *testing.T) {
 	h, inj, reg := newFaultHarness(t, basicScheme(t),
-		fault.Config{Rate: 0.99, Seed: 2, RetryMax: fault.UseDefault}, remap.UseDefault)
+		fault.Config{Rate: 0.99, Seed: 2, RetryMax: fault.DefaultRetryMax}, remap.DefaultSpareRows)
 	var sparse bits.Line
 	sparse[0] = 1
 	if !h.ctrl.EnqueueWrite(0, sparse, h.now) {

@@ -34,14 +34,8 @@ import (
 	"ladder/internal/wear"
 )
 
-// UseDefault is the sentinel distinguishing "unset, use the default"
-// from an explicit zero: SpareRows = UseDefault selects DefaultSpareRows
-// while SpareRows = 0 means no spare pool at all, and PenaltyNs =
-// UseDefault selects DefaultPenaltyNs while PenaltyNs = 0 models a free
-// indirection.
-const UseDefault = -1
-
-// Default knobs; see Config.
+// Default knobs; see Config. sim.Config resolves them before building a
+// decoder; the decoder itself takes every knob as given.
 const (
 	// DefaultSpareRows is each bank's spare-row pool size.
 	DefaultSpareRows = 32
@@ -64,11 +58,11 @@ type Config struct {
 	// GapPeriod is the number of recorded writes between gap moves
 	// (required positive when GapSegmentRows > 0).
 	GapPeriod int
-	// SpareRows sizes each bank's spare-row pool: UseDefault selects
-	// DefaultSpareRows, 0 disables spare substitution entirely.
+	// SpareRows sizes each bank's spare-row pool; 0 disables spare
+	// substitution entirely.
 	SpareRows int
 	// PenaltyNs is the indirection latency charged on accesses to
-	// remapped rows: UseDefault selects DefaultPenaltyNs, 0 is free.
+	// remapped rows; 0 is free.
 	PenaltyNs float64
 	// ProactiveWearLimit, when positive, retires a row to a spare once
 	// its effective write count reaches the limit — before the fault
@@ -77,19 +71,7 @@ type Config struct {
 	ProactiveWearLimit uint64
 }
 
-// withDefaults resolves the UseDefault sentinels.
-func (c Config) withDefaults() Config {
-	if c.SpareRows == UseDefault {
-		c.SpareRows = DefaultSpareRows
-	}
-	if c.PenaltyNs == UseDefault {
-		c.PenaltyNs = DefaultPenaltyNs
-	}
-	return c
-}
-
-// Validate reports whether the configuration is usable (after the
-// UseDefault sentinels are resolved).
+// Validate reports whether the configuration is usable.
 func (c Config) Validate() error {
 	switch {
 	case c.Geom.Rows() == 0:
@@ -161,9 +143,8 @@ type Decoder struct {
 	stats     Stats
 }
 
-// NewDecoder builds a decoder, resolving sentinels then validating.
+// NewDecoder validates cfg and builds a decoder.
 func NewDecoder(cfg Config) (*Decoder, error) {
-	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}

@@ -39,14 +39,13 @@ func TestConfigValidate(t *testing.T) {
 	}{
 		{"base", func(c *Config) {}, true},
 		{"gap leveling", func(c *Config) { c.GapSegmentRows = 64; c.GapPeriod = 16 }, true},
-		{"sentinel spares", func(c *Config) { c.SpareRows = UseDefault }, true},
-		{"sentinel penalty", func(c *Config) { c.PenaltyNs = UseDefault }, true},
+		{"default spares and penalty", func(c *Config) { c.SpareRows, c.PenaltyNs = DefaultSpareRows, DefaultPenaltyNs }, true},
 		{"no geometry", func(c *Config) { c.Geom = reram.Geometry{} }, false},
 		{"zero ticks per ns", func(c *Config) { c.TicksPerNs = 0 }, false},
 		{"negative segment rows", func(c *Config) { c.GapSegmentRows = -1 }, false},
 		{"gap without period", func(c *Config) { c.GapSegmentRows = 64 }, false},
-		{"spares below sentinel", func(c *Config) { c.SpareRows = -2 }, false},
-		{"penalty below sentinel", func(c *Config) { c.PenaltyNs = -2 }, false},
+		{"negative spares", func(c *Config) { c.SpareRows = -1 }, false},
+		{"negative penalty", func(c *Config) { c.PenaltyNs = -1 }, false},
 	}
 	for _, c := range cases {
 		cfg := baseConfig()
@@ -58,13 +57,14 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
-// TestSentinelDefaults pins the UseDefault semantics: the sentinel
-// selects the default while an explicit zero disables the feature.
+// TestSentinelDefaults pins that the decoder resolves no sentinel: it
+// takes each knob as given (sim.Config resolves the defaults), so an
+// explicit zero disables the feature.
 func TestSentinelDefaults(t *testing.T) {
 	cfg := baseConfig()
-	cfg.SpareRows = UseDefault
+	cfg.SpareRows = DefaultSpareRows
 	if d := mustDecoder(t, cfg); d.SpareCapacity() != DefaultSpareRows {
-		t.Errorf("SpareCapacity(UseDefault) = %d, want %d", d.SpareCapacity(), DefaultSpareRows)
+		t.Errorf("SpareCapacity(%d) = %d", DefaultSpareRows, d.SpareCapacity())
 	}
 	cfg = baseConfig()
 	cfg.SpareRows = 0
@@ -77,7 +77,7 @@ func TestSentinelDefaults(t *testing.T) {
 	}
 	cfg = baseConfig()
 	cfg.SpareRows = 1
-	cfg.PenaltyNs = UseDefault
+	cfg.PenaltyNs = DefaultPenaltyNs
 	d = mustDecoder(t, cfg)
 	loc, err := testGeometry().Decode(0)
 	if err != nil {

@@ -109,6 +109,8 @@ func TestSubmitValidation(t *testing.T) {
 		{"unknown workload", `{"workloads":["nope"],"schemes":["Baseline"]}`, `unknown workload "nope"`},
 		{"unknown scheme", `{"workloads":["astar"],"schemes":["nope"]}`, `unknown scheme "nope"`},
 		{"instr over cap", `{"workloads":["astar"],"schemes":["Baseline"],"instr":20000}`, "budget cap"},
+		// Fault knobs are not request fields: the service has no fault
+		// rate, so they would be inert, and the decoder rejects them.
 		{"negative retry_max", `{"workloads":["astar"],"schemes":["Baseline"],"retry_max":-1}`, "retry_max"},
 	}
 	for _, c := range cases {

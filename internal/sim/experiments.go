@@ -50,15 +50,12 @@ type Options struct {
 	// to each run's Config.ProgressEvery (0 = the run default). Only
 	// meaningful with CellProgress set.
 	ProgressEvery uint64
-	// FaultSeed, RetryMax and SpareRows parameterize fault-injection
-	// cells (ReliabilitySweep); runs without a fault rate ignore them.
-	// Zero values select the defaults (see sim.Config).
-	FaultSeed int64
-	RetryMax  int
-	SpareRows int
-	// RemapPenaltyNs is the address-decoder indirection latency charged
-	// on accesses to spare-remapped rows (0 = default 2 ns, negative =
-	// free; see sim.Config).
+	// FaultSeed, RetryMax, SpareRows and RemapPenaltyNs forward to every
+	// cell's Config under its knob convention (0 = default, negative =
+	// off); runs without a fault rate or decoder ignore them.
+	FaultSeed      int64
+	RetryMax       int
+	SpareRows      int
 	RemapPenaltyNs float64
 	// TimelineInterval and TimelineCapacity forward the timeline sampler
 	// configuration to every cell (see Config.TimelineInterval); the grid
@@ -130,8 +127,19 @@ func RunGrid(opts Options, schemes []string) (*Grid, error) {
 
 // RunGridCtx is RunGrid under a context; cancellation, failure, panic
 // isolation and determinism follow runCells. A canceled grid is returned
-// as an error, never as a silently partial result.
+// as an error, never as a silently partial result. Scheme names resolve
+// to their registered spelling before any cell runs, so Grid.Schemes,
+// the Results keys and report labels agree, and an unknown name fails
+// up front.
 func RunGridCtx(ctx context.Context, opts Options, schemes []string) (*Grid, error) {
+	schemes = append([]string(nil), schemes...)
+	for i, name := range schemes {
+		canon, err := core.CanonicalScheme(name)
+		if err != nil {
+			return nil, err
+		}
+		schemes[i] = canon
+	}
 	res, err := runVariants(ctx, opts, "", sweep(schemes, func(c *Config, s string) { c.Scheme = s })...)
 	if err != nil {
 		return nil, err

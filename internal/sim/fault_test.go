@@ -4,6 +4,10 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"ladder/internal/core"
+	"ladder/internal/fault"
+	"ladder/internal/remap"
 )
 
 func faultConfig(t *testing.T, workload, scheme string, rate float64) Config {
@@ -75,6 +79,46 @@ func TestFaultFreeRunIdenticalToBaseline(t *testing.T) {
 	}
 	if plain.Ticks != off.Ticks || plain.Stats != off.Stats {
 		t.Fatalf("disabled injection perturbed the run: %d vs %d ticks", plain.Ticks, off.Ticks)
+	}
+}
+
+// TestKnobConvention pins the one knob convention every front end passes
+// through unchanged: applyDefaults resolves 0 to the package default, a
+// negative value to 0 (off) and keeps a positive value; a negative
+// RetryMax then runs with no reissues at all.
+func TestKnobConvention(t *testing.T) {
+	resolve := func(v int) Config {
+		cfg := testConfig(t, "astar", SchemeBaseline)
+		cfg.RetryMax, cfg.SpareRows, cfg.RemapPenaltyNs, cfg.HybridLowRows = v, v, float64(v), v
+		if err := cfg.applyDefaults(); err != nil {
+			t.Fatal(err)
+		}
+		return cfg
+	}
+	for _, tc := range []struct {
+		in                     int
+		retry, spares, lowRows int
+		penalty                float64
+	}{
+		{0, fault.DefaultRetryMax, remap.DefaultSpareRows, core.DefaultLowPrecisionRows, remap.DefaultPenaltyNs},
+		{-1, 0, 0, 0, 0},
+		{5, 5, 5, 5, 5},
+	} {
+		c := resolve(tc.in)
+		if c.RetryMax != tc.retry || c.SpareRows != tc.spares || c.HybridLowRows != tc.lowRows || c.RemapPenaltyNs != tc.penalty {
+			t.Errorf("knobs set to %d resolved to retry %d, spares %d, low rows %d, penalty %v; want %d, %d, %d, %v",
+				tc.in, c.RetryMax, c.SpareRows, c.HybridLowRows, c.RemapPenaltyNs, tc.retry, tc.spares, tc.lowRows, tc.penalty)
+		}
+	}
+
+	cfg := faultConfig(t, "lbm", SchemeEst, 0.02)
+	cfg.RetryMax = -1
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Faults.Injected == 0 || res.Faults.Retries != 0 {
+		t.Fatalf("RetryMax -1: want injected faults and no retries, got %+v", res.Faults)
 	}
 }
 

@@ -145,7 +145,8 @@ type Config struct {
 	MetaCache core.MetaCacheConfig
 	// HybridLowRows overrides LADDER-Hybrid's precision control register:
 	// the number of driver-near rows using 1-bit counters. 0 keeps the
-	// paper's 128; -1 disables the low-precision region entirely.
+	// paper's core.DefaultLowPrecisionRows (128); negative disables the
+	// low-precision region entirely.
 	HybridLowRows int
 	// TraceFile replays a recorded access trace (see cmd/tracegen) on a
 	// single core instead of synthesizing the workload; Workload becomes a
@@ -184,16 +185,17 @@ type Config struct {
 	FaultRate float64
 	// FaultSeed seeds the injector's private PRNG stream (0 = reuse Seed).
 	FaultSeed int64
-	// RetryMax caps program-and-verify reissues per write (0 = default 3,
-	// negative = no reissues at all: transient failures remap directly).
+	// RetryMax caps program-and-verify reissues per write (0 = default
+	// fault.DefaultRetryMax, negative = no reissues at all: transient
+	// failures remap directly).
 	RetryMax int
-	// SpareRows sizes each bank's spare-row pool (0 = default 32,
-	// negative = no spares). A run that exhausts a pool on the fault path
-	// fails with an error from Run.
+	// SpareRows sizes each bank's spare-row pool (0 = default
+	// remap.DefaultSpareRows, negative = no spares). A run that exhausts
+	// a pool on the fault path fails with an error from Run.
 	SpareRows int
 	// RemapPenaltyNs is the address-decoder indirection latency charged
-	// on accesses to spare-remapped rows (0 = default 2 ns, negative =
-	// free indirection).
+	// on accesses to spare-remapped rows (0 = default
+	// remap.DefaultPenaltyNs, negative = free indirection).
 	RemapPenaltyNs float64
 	// ProactiveWearLimit, when positive, retires rows to spares once
 	// their effective write count reaches the limit — wear-limit-
@@ -215,16 +217,14 @@ type Config struct {
 	// live-streaming hook behind the introspection server's /timeline
 	// feed. Runs on the simulation goroutine, like Progress.
 	TimelineOnEpoch func(timeline.Epoch) `json:"-"`
-	// Interrupt, when set, is polled periodically during the execute and
-	// drain phases (every few thousand engine steps — far below any
-	// human-visible latency, far above per-cycle cost); a non-nil return
-	// aborts the run with that error wrapped. RunCtx wires a context's
-	// cancellation cause through this hook, which is how service-mode
-	// deadlines and watchdogs stop a running simulation at cycle
-	// granularity. Nil — the default — is never polled and costs nothing.
-	Interrupt func() error `json:"-"`
 }
 
+// applyDefaults is the one place a run's inputs are resolved: the
+// scheme name to its registered spelling, and every optional knob to the
+// literal value the components take as given. Knobs follow one
+// convention: 0 selects the default, a negative value turns the feature
+// off, a positive value is used as is. Front ends pass their inputs
+// through unchanged and leave the deciding to this function.
 func (c *Config) applyDefaults() error {
 	if c.Workload == "" && c.TraceFile == "" {
 		return fmt.Errorf("sim: workload required")
@@ -232,6 +232,11 @@ func (c *Config) applyDefaults() error {
 	if c.Scheme == "" {
 		c.Scheme = SchemeBaseline
 	}
+	scheme, err := core.CanonicalScheme(c.Scheme)
+	if err != nil {
+		return err
+	}
+	c.Scheme = scheme
 	if c.InstrPerCore == 0 {
 		c.InstrPerCore = 200_000
 	}
@@ -260,13 +265,30 @@ func (c *Config) applyDefaults() error {
 	if c.VWLPeriod == 0 {
 		c.VWLPeriod = 128
 	}
-	if c.ResidentLevel == 0 {
-		c.ResidentLevel = 2
-	}
 	if c.MetaCache == (core.MetaCacheConfig{}) {
 		c.MetaCache = core.DefaultMetaCacheConfig()
 	}
+	if c.FaultSeed == 0 {
+		c.FaultSeed = c.Seed
+	}
+	c.ResidentLevel = knob(c.ResidentLevel, 2)
+	c.HybridLowRows = knob(c.HybridLowRows, core.DefaultLowPrecisionRows)
+	c.RetryMax = knob(c.RetryMax, fault.DefaultRetryMax)
+	c.SpareRows = knob(c.SpareRows, remap.DefaultSpareRows)
+	c.RemapPenaltyNs = knob(c.RemapPenaltyNs, remap.DefaultPenaltyNs)
 	return nil
+}
+
+// knob resolves an optional knob to its literal value: 0 selects def, a
+// negative value is off (0), a positive value is kept.
+func knob[T int | float64](v, def T) T {
+	switch {
+	case v == 0:
+		return def
+	case v < 0:
+		return 0
+	}
+	return v
 }
 
 // Result reports one run's measurements.
@@ -381,10 +403,21 @@ func shrunk(ts *timing.TableSet, factor float64) *timing.TableSet {
 	return out
 }
 
-// Run executes one simulation to completion and returns its measurements:
-// it builds a System and drives it through its phases.
+// Run executes one simulation to completion and returns its
+// measurements; it is RunCtx under context.Background().
 func Run(cfg Config) (*Result, error) {
-	sys, err := newSystem(cfg)
+	return RunCtx(context.Background(), cfg)
+}
+
+// RunCtx builds a System and drives it through its phases. The execute
+// and drain phases poll ctx every interruptCheckEvery engine steps and
+// abort with the context's cancellation cause once it is canceled or its
+// deadline passes — within microseconds, never mid-cycle, so an aborted
+// run leaves no partial-cycle state behind (it returns no Result at all).
+// This is how grid cancellation, service-mode deadlines and watchdogs
+// stop a running simulation.
+func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
+	sys, err := newSystem(ctx, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -394,24 +427,6 @@ func Run(cfg Config) (*Result, error) {
 		}
 	}
 	return sys.collect()
-}
-
-// RunCtx is Run under a context: the run polls ctx between engine steps
-// and aborts with the context's cancellation cause once it is canceled
-// or its deadline passes. The poll happens at step granularity — a run
-// stops within microseconds of cancellation, never mid-cycle, so an
-// aborted run leaves no partial-cycle state behind (it returns no
-// Result at all). An explicit Config.Interrupt takes precedence.
-func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
-	if cfg.Interrupt == nil && ctx != nil {
-		cfg.Interrupt = func() error {
-			if ctx.Err() != nil {
-				return context.Cause(ctx)
-			}
-			return nil
-		}
-	}
-	return Run(cfg)
 }
 
 // exportRunMetrics publishes the end-of-run scalars that are already

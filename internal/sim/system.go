@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"fmt"
 	mathbits "math/bits"
 	"os"
@@ -34,7 +35,10 @@ const drainCap = 50_000_000
 // ordinary method so variants (warmup-only runs, checkpoint/resume
 // experiments) can compose them differently.
 type System struct {
-	cfg     Config
+	cfg Config
+	// ctx is the run's context, polled every interruptCheckEvery engine
+	// steps during execute and drain (see RunCtx).
+	ctx     context.Context
 	tables  *timing.TableSet
 	store   *reram.Store
 	stats   *core.Stats
@@ -79,11 +83,11 @@ type System struct {
 // stats, metrics registry, energy meter, cores, per-channel controllers
 // with their private scheme instances, optional wear leveling — and the
 // event engine that will drive them, without simulating a single cycle.
-func newSystem(cfg Config) (*System, error) {
+func newSystem(ctx context.Context, cfg Config) (*System, error) {
 	if err := cfg.applyDefaults(); err != nil {
 		return nil, err
 	}
-	s := &System{cfg: cfg, started: time.Now()}
+	s := &System{cfg: cfg, ctx: ctx, started: time.Now()}
 
 	var profiles []trace.Profile
 	if cfg.TraceFile != "" {
@@ -124,14 +128,10 @@ func newSystem(cfg Config) (*System, error) {
 		})
 	}
 	if cfg.FaultRate > 0 {
-		seed := cfg.FaultSeed
-		if seed == 0 {
-			seed = cfg.Seed
-		}
 		s.inj, err = fault.NewInjector(fault.Config{
 			Rate:     cfg.FaultRate,
-			Seed:     seed,
-			RetryMax: sentinelCount(cfg.RetryMax),
+			Seed:     cfg.FaultSeed,
+			RetryMax: cfg.RetryMax,
 		})
 		if err != nil {
 			return nil, err
@@ -213,12 +213,8 @@ func (s *System) buildControllers() error {
 		if err != nil {
 			return err
 		}
-		if h, ok := scheme.(*core.Hybrid); ok && cfg.HybridLowRows != 0 {
-			n := cfg.HybridLowRows
-			if n < 0 {
-				n = 0
-			}
-			h.SetLowPrecisionRows(n)
+		if h, ok := scheme.(*core.Hybrid); ok {
+			h.SetLowPrecisionRows(cfg.HybridLowRows)
 		}
 		s.schemes[ch] = scheme
 		s.ctrls[ch], err = memctrl.NewController(cfg.Ctrl, s.env, scheme, s.meter, onReadDone)
@@ -233,30 +229,6 @@ func (s *System) buildControllers() error {
 		}
 	}
 	return nil
-}
-
-// sentinelCount maps sim's zero-means-default convention for count
-// knobs (RetryMax, SpareRows) onto the fault/remap sentinel form:
-// 0 → UseDefault, negative → explicit zero (off), positive → as given.
-func sentinelCount(v int) int {
-	switch {
-	case v == 0:
-		return fault.UseDefault
-	case v < 0:
-		return 0
-	}
-	return v
-}
-
-// sentinelNs does the same for the nanosecond penalty knob.
-func sentinelNs(v float64) float64 {
-	switch {
-	case v == 0:
-		return remap.UseDefault
-	case v < 0:
-		return 0
-	}
-	return v
 }
 
 // buildDecoder configures the programmable address decoder: vertical
@@ -289,8 +261,8 @@ func (s *System) buildDecoder() error {
 	rc := remap.Config{
 		Geom:               cfg.Geom,
 		TicksPerNs:         memctrl.TicksPerNs,
-		SpareRows:          sentinelCount(cfg.SpareRows),
-		PenaltyNs:          sentinelNs(cfg.RemapPenaltyNs),
+		SpareRows:          cfg.SpareRows,
+		PenaltyNs:          cfg.RemapPenaltyNs,
 		ProactiveWearLimit: cfg.ProactiveWearLimit,
 	}
 	if needGap {
@@ -456,7 +428,7 @@ func printProgress(p ProgressInfo) {
 // write arrives.
 func (s *System) warm() error {
 	cfg := s.cfg
-	if cfg.ResidentLevel <= 0 {
+	if cfg.ResidentLevel == 0 {
 		return nil
 	}
 	s.store.SetResident(cfg.ResidentLevel, uint64(cfg.Seed)+0x5eed)
@@ -501,7 +473,7 @@ func (s *System) issue(coreID int, a trace.Access) bool {
 }
 
 // interruptCheckEvery is how many engine steps (execute) or drain
-// iterations pass between Config.Interrupt polls. Steps are
+// iterations pass between polls of the run's context. Steps are
 // microsecond-scale, so a canceled run stops within milliseconds while
 // the per-step overhead stays one counter increment.
 const interruptCheckEvery = 1024
@@ -520,12 +492,10 @@ func (s *System) execute() error {
 		if s.err != nil {
 			return s.err
 		}
-		if s.cfg.Interrupt != nil {
-			if sinceCheck++; sinceCheck >= interruptCheckEvery {
-				sinceCheck = 0
-				if err := s.cfg.Interrupt(); err != nil {
-					return fmt.Errorf("sim: run interrupted: %w", err)
-				}
+		if sinceCheck++; sinceCheck >= interruptCheckEvery {
+			sinceCheck = 0
+			if err := context.Cause(s.ctx); err != nil {
+				return fmt.Errorf("sim: run interrupted: %w", err)
 			}
 		}
 	}
@@ -557,12 +527,10 @@ func (s *System) drain() error {
 		if now-start >= drainCap {
 			return fmt.Errorf("sim: controllers failed to drain within %d cycles (read/write queues wedged)", drainCap)
 		}
-		if s.cfg.Interrupt != nil {
-			if sinceCheck++; sinceCheck >= interruptCheckEvery {
-				sinceCheck = 0
-				if err := s.cfg.Interrupt(); err != nil {
-					return fmt.Errorf("sim: drain interrupted: %w", err)
-				}
+		if sinceCheck++; sinceCheck >= interruptCheckEvery {
+			sinceCheck = 0
+			if err := context.Cause(s.ctx); err != nil {
+				return fmt.Errorf("sim: drain interrupted: %w", err)
 			}
 		}
 		idle := true
