@@ -42,14 +42,14 @@ func NewFastModel(p Params) (*FastModel, error) {
 	return &FastModel{p: p, iterations: 40}, nil
 }
 
-// spreadLRS marks `count` of the positions 0..n-1 not in `skip` as LRS,
+// spreadLRS marks `count` of the positions 0..n-1 not skipped as LRS,
 // spread evenly, mirroring WordlinePattern's placement so that the fast
 // model and MNA agree on geometry.
-func spreadLRS(n, count int, skip map[int]bool) []bool {
+func spreadLRS(n, count int, skip func(int) bool) []bool {
 	lrs := make([]bool, n)
 	avail := make([]int, 0, n)
 	for j := 0; j < n; j++ {
-		if !skip[j] {
+		if !skip(j) {
 			avail = append(avail, j)
 		}
 	}
@@ -104,12 +104,20 @@ func (f *FastModel) solve(op FastOp) (*Result, []float64, []float64, error) {
 		return nil, nil, nil, fmt.Errorf("circuit: BLLRS %d out of range 0..%d", op.BLLRS, n-1)
 	}
 
-	target := make(map[int]bool, len(op.Cols))
-	for _, c := range op.Cols {
-		target[c] = true
+	// colOf maps a wordline node to its target index, -1 for a
+	// half-selected cell.
+	colOf := make([]int, n)
+	for j := range colOf {
+		colOf[j] = -1
 	}
-	wlLRS := spreadLRS(n, op.WLLRS, target)
-	blLRS := spreadLRS(n, op.BLLRS, map[int]bool{op.Row: true})
+	for k, c := range op.Cols {
+		if c < 0 || c >= n {
+			return nil, nil, nil, fmt.Errorf("circuit: selected column %d out of range 0..%d", c, n-1)
+		}
+		colOf[c] = k
+	}
+	wlLRS := spreadLRS(n, op.WLLRS, func(j int) bool { return colOf[j] >= 0 })
+	blLRS := spreadLRS(n, op.BLLRS, func(i int) bool { return i == op.Row })
 
 	gWire := 1 / math.Max(f.p.RWire, 1e-9)
 	gIn := 1 / math.Max(f.p.RIn, 1e-9)
@@ -125,31 +133,32 @@ func (f *FastModel) solve(op FastOp) (*Result, []float64, []float64, error) {
 		vd[k] = f.p.VWrite
 	}
 
+	// Every line is the same wire ladder: its off-diagonals and the wire
+	// part of its diagonal are fixed, and only the driver and the cell
+	// shunts are added on each pass.
 	sub := make([]float64, n)
-	diag := make([]float64, n)
 	sup := make([]float64, n)
+	wireDiag := make([]float64, n)
+	for j := 0; j < n; j++ {
+		if j > 0 {
+			sub[j] = -gWire
+			wireDiag[j] += gWire
+		}
+		if j < n-1 {
+			sup[j] = -gWire
+			wireDiag[j] += gWire
+		}
+	}
+	diag := make([]float64, n)
 	rhs := make([]float64, n)
 
 	for iter := 0; iter < f.iterations; iter++ {
 		// --- Selected wordline ladder (driver to 0 V at node 0). ---
-		for j := 0; j < n; j++ {
-			sub[j], diag[j], sup[j], rhs[j] = 0, 0, 0, 0
-			if j > 0 {
-				sub[j] = -gWire
-				diag[j] += gWire
-			}
-			if j < n-1 {
-				sup[j] = -gWire
-				diag[j] += gWire
-			}
-		}
+		copy(diag, wireDiag)
+		clear(rhs)
 		diag[0] += gIn // to 0 V rail; rhs term is zero
-		colOf := make(map[int]int, len(op.Cols))
-		for k, c := range op.Cols {
-			colOf[c] = k
-		}
 		for j := 0; j < n; j++ {
-			if k, ok := colOf[j]; ok {
+			if k := colOf[j]; k >= 0 {
 				// Target cell: shunt to the bitline voltage seen last
 				// iteration, linearized at the current drop.
 				g := f.p.TargetConductance(vd[k])
@@ -174,17 +183,8 @@ func (f *FastModel) solve(op FastOp) (*Result, []float64, []float64, error) {
 
 		// --- Each selected bitline ladder (driver to VWrite at node 0). ---
 		for k, c := range op.Cols {
-			for i := 0; i < n; i++ {
-				sub[i], diag[i], sup[i], rhs[i] = 0, 0, 0, 0
-				if i > 0 {
-					sub[i] = -gWire
-					diag[i] += gWire
-				}
-				if i < n-1 {
-					sup[i] = -gWire
-					diag[i] += gWire
-				}
-			}
+			copy(diag, wireDiag)
+			clear(rhs)
 			diag[0] += gOut
 			rhs[0] += gOut * f.p.VWrite
 			// Half-selected cells along the bitline discharge toward the
@@ -201,8 +201,9 @@ func (f *FastModel) solve(op FastOp) (*Result, []float64, []float64, error) {
 				diag[i] += g
 				rhs[i] += g * f.p.VBias
 			}
-			sol := SolveTridiagonal(sub, diag, sup, rhs)
-			vb := vBLAtTarget[k] + 0.5*(sol[op.Row]-vBLAtTarget[k])
+			// Only the target row's voltage feeds back.
+			solveTridiagonalFrom(sub, diag, sup, rhs, op.Row)
+			vb := vBLAtTarget[k] + 0.5*(rhs[op.Row]-vBLAtTarget[k])
 			if d := math.Abs(vb - vBLAtTarget[k]); d > maxMove {
 				maxMove = d
 			}

@@ -107,6 +107,8 @@ func TestFastModelRejectsBadOps(t *testing.T) {
 		{Row: 0, Cols: nil},
 		{Row: 0, Cols: []int{0}, WLLRS: 99},
 		{Row: 0, Cols: []int{0}, BLLRS: 99},
+		{Row: 0, Cols: []int{16}},
+		{Row: 0, Cols: []int{-1}},
 	}
 	for i, op := range bad {
 		if _, err := f.Solve(op); err == nil {
@@ -212,5 +214,28 @@ func TestSolveWorstBLUsesMaxContent(t *testing.T) {
 	}
 	if math.Abs(worst.MinVd-explicit.MinVd) > 1e-12 {
 		t.Fatalf("SolveWorstBL %v != explicit worst BL %v", worst.MinVd, explicit.MinVd)
+	}
+}
+
+// BenchmarkFastModelSolve times one reduced-model solve on the paper's
+// 512×512 crossbar, cycling through the best, middle and worst table
+// corners (8 selected cells, worst-case bitline content).
+func BenchmarkFastModelSolve(b *testing.B) {
+	p := DefaultParams()
+	f, err := NewFastModel(p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ops := []FastOp{
+		{Row: 63, Cols: []int{56, 57, 58, 59, 60, 61, 62, 63}, WLLRS: 63, BLLRS: p.N - 1},
+		{Row: 255, Cols: []int{248, 249, 250, 251, 252, 253, 254, 255}, WLLRS: 255, BLLRS: p.N - 1},
+		{Row: 511, Cols: []int{504, 505, 506, 507, 508, 509, 510, 511}, WLLRS: 504, BLLRS: p.N - 1},
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := f.Solve(ops[i%len(ops)]); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

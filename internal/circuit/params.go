@@ -105,7 +105,7 @@ func (p Params) Validate() error {
 
 // targetRFactor returns the effective target-cell resistance scaling,
 // defaulting to the pessimistic 1 when unset.
-func (p Params) targetRFactor() float64 {
+func (p *Params) targetRFactor() float64 {
 	if p.TargetRFactor <= 0 {
 		return 1
 	}
@@ -120,13 +120,13 @@ func (p Params) TargetCurrent(v float64) float64 {
 
 // TargetConductance returns the linearization conductance of a
 // fully-selected cell under RESET.
-func (p Params) TargetConductance(v float64) float64 {
+func (p *Params) TargetConductance(v float64) float64 {
 	return p.cellConductanceR(v, p.RLRS*p.targetRFactor())
 }
 
 // gamma returns the selector power-law exponent γ = log2(K), so that a cell
 // current I ∝ |V|^γ satisfies I(V)/I(V/2) = K.
-func (p Params) gamma() float64 {
+func (p *Params) gamma() float64 {
 	return math.Log2(p.Nonlinearity)
 }
 
@@ -173,7 +173,7 @@ func (p Params) cellCurrentR(v, r float64) float64 {
 // CellConductance returns the effective conductance I(v)/v used in the
 // fixed-point linearization. It never vanishes, keeping the nodal systems
 // well conditioned.
-func (p Params) CellConductance(v float64, lrs bool) float64 {
+func (p *Params) CellConductance(v float64, lrs bool) float64 {
 	r := p.RHRS
 	if lrs {
 		r = p.RLRS
@@ -181,7 +181,7 @@ func (p Params) CellConductance(v float64, lrs bool) float64 {
 	return p.cellConductanceR(v, r)
 }
 
-func (p Params) cellConductanceR(v, r float64) float64 {
+func (p *Params) cellConductanceR(v, r float64) float64 {
 	mag := math.Abs(v) / p.VWrite
 	switch {
 	case mag <= 0.25:

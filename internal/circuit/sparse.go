@@ -197,6 +197,14 @@ func (m *CSR) SolveCG(rhs, x0 []float64, opt CGOptions) ([]float64, error) {
 // sup[n-1] are ignored), rhs is overwritten with the solution. The inputs
 // diag and rhs are modified.
 func SolveTridiagonal(sub, diag, sup, rhs []float64) []float64 {
+	solveTridiagonalFrom(sub, diag, sup, rhs, 0)
+	return rhs
+}
+
+// solveTridiagonalFrom is SolveTridiagonal with the back substitution
+// stopped at index lo: rhs[lo:] holds the solution there, bit for bit
+// what the full solve computes, and rhs[:lo] is left eliminated.
+func solveTridiagonalFrom(sub, diag, sup, rhs []float64, lo int) {
 	n := len(diag)
 	for i := 1; i < n; i++ {
 		w := sub[i] / diag[i-1]
@@ -204,8 +212,7 @@ func SolveTridiagonal(sub, diag, sup, rhs []float64) []float64 {
 		rhs[i] -= w * rhs[i-1]
 	}
 	rhs[n-1] /= diag[n-1]
-	for i := n - 2; i >= 0; i-- {
+	for i := n - 2; i >= lo; i-- {
 		rhs[i] = (rhs[i] - sup[i]*rhs[i+1]) / diag[i]
 	}
-	return rhs
 }

@@ -197,17 +197,6 @@ func runVariants(ctx context.Context, opts Options, scheme string, variants ...f
 // callbacks (Options.Progress, Options.CellProgress) are serialized
 // under one mutex and never run concurrently with each other.
 func runCells(ctx context.Context, opts Options, cfgs []Config) ([]*Result, error) {
-	// Resolve the shared timing tables up front so workers do not race on
-	// the lazy default-table generation.
-	for i := range cfgs {
-		if cfgs[i].Tables == nil {
-			ts, err := timing.DefaultTableSet()
-			if err != nil {
-				return nil, err
-			}
-			cfgs[i].Tables = ts
-		}
-	}
 	results := make([]*Result, len(cfgs))
 	// A cell failure cancels runCtx so queued cells never dispatch; the
 	// caller's ctx flows through, so external cancellation behaves the

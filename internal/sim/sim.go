@@ -105,8 +105,8 @@ type Config struct {
 	Geom reram.Geometry
 	// Ctrl is the controller configuration (zero value = paper default).
 	Ctrl memctrl.Config
-	// Tables supplies the timing tables; nil loads the default 512×512
-	// set (generated once per process).
+	// Tables supplies the timing tables; nil selects the shipped default
+	// 512×512 set.
 	Tables *timing.TableSet
 	// Energy supplies the energy coefficients (zero value = default).
 	Energy energy.Params

@@ -45,69 +45,14 @@ func (t *NTable) Lookup(wl, bl, clrs int) float64 {
 func (t *NTable) StorageBytes() int { return t.B * t.B * t.B }
 
 // GenerateN builds a timing table with `buckets` buckets per dimension,
-// sampling each bucket's worst corner like Generate.
+// sampling each bucket's worst corner like Generate. The selected cells
+// may span several buckets when buckets are finer than a byte.
 func GenerateN(p circuit.Params, m Model, buckets int, opts TableOptions) (*NTable, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	if buckets <= 0 || p.N%buckets != 0 {
-		return nil, fmt.Errorf("timing: %d buckets must divide crossbar size %d", buckets, p.N)
-	}
-	sel := p.SelectedCells
-	if opts.SelectedCells != 0 {
-		sel = opts.SelectedCells
-	}
-	gran := p.N / buckets
-	if sel <= 0 || sel > p.N {
-		return nil, fmt.Errorf("timing: selected cells %d out of range 1..%d", sel, p.N)
-	}
-	f, err := circuit.NewFastModel(p)
+	lat, err := generateCorners(p, m, buckets, opts, p.N)
 	if err != nil {
 		return nil, err
 	}
-	t := &NTable{B: buckets, Granularity: gran, Content: opts.Content, LatNs: make([]float64, buckets*buckets*buckets)}
-	for wb := 0; wb < buckets; wb++ {
-		row := (wb+1)*gran - 1
-		for bb := 0; bb < buckets; bb++ {
-			// The selected byte's bitlines end at the bucket's top column;
-			// with buckets finer than a byte the span reaches back across
-			// neighboring buckets.
-			colHigh := (bb + 1) * gran
-			if colHigh < sel {
-				colHigh = sel
-			}
-			cols := make([]int, sel)
-			for i := range cols {
-				cols[i] = colHigh - sel + i
-			}
-			for cb := 0; cb < buckets; cb++ {
-				content := (cb+1)*gran - 1
-				var op circuit.FastOp
-				switch opts.Content {
-				case WLContent:
-					wl := content
-					if wl > p.N-sel {
-						wl = p.N - sel
-					}
-					op = circuit.FastOp{Row: row, Cols: cols, WLLRS: wl, BLLRS: p.N - 1}
-				case BLContent:
-					bl := content
-					if bl > p.N-1 {
-						bl = p.N - 1
-					}
-					op = circuit.FastOp{Row: row, Cols: cols, WLLRS: p.N - sel, BLLRS: bl}
-				default:
-					return nil, fmt.Errorf("timing: unknown content dimension %d", opts.Content)
-				}
-				res, err := f.Solve(op)
-				if err != nil {
-					return nil, fmt.Errorf("generating bucket (%d,%d,%d): %w", wb, bb, cb, err)
-				}
-				t.LatNs[t.index(wb, bb, cb)] = m.Latency(res.MinVd)
-			}
-		}
-	}
-	return t, nil
+	return &NTable{B: buckets, Granularity: p.N / buckets, Content: opts.Content, LatNs: lat}, nil
 }
 
 // GranularityCost compares a coarse table against a finer reference over

@@ -2,6 +2,9 @@ package timing
 
 import (
 	"fmt"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"ladder/internal/circuit"
 )
@@ -137,62 +140,106 @@ func (t *Table) ShrinkRange(factor float64) *Table {
 // Generate builds a timing table by sweeping the reduced circuit model
 // over the worst corner of every bucket (maximum wordline index, maximum
 // bitline index and maximum content count within the bucket), so a lookup
-// is always sufficient for any operating point inside the bucket.
+// is always sufficient for any operating point inside the bucket. It
+// shares its corner sweep with GenerateN; here the selected cells must
+// fit in one bucket.
 func Generate(p circuit.Params, m Model, opts TableOptions) (*Table, error) {
+	lat, err := generateCorners(p, m, Buckets, opts, p.N/Buckets)
+	if err != nil {
+		return nil, err
+	}
+	tbl := &Table{Granularity: p.N / Buckets, Content: opts.Content}
+	for i, v := range lat {
+		tbl.LatNs[i/(Buckets*Buckets)][i/Buckets%Buckets][i%Buckets] = v
+	}
+	return tbl, nil
+}
+
+// generateCorners validates a b×b×b table request, allowing at most
+// maxSel selected cells, and returns the latency at every bucket corner
+// in row-major (wl, bl, content) order.
+func generateCorners(p circuit.Params, m Model, b int, opts TableOptions, maxSel int) ([]float64, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	if p.N%Buckets != 0 {
-		return nil, fmt.Errorf("timing: crossbar size %d not divisible into %d buckets", p.N, Buckets)
+	if b <= 0 || p.N%b != 0 {
+		return nil, fmt.Errorf("timing: %d buckets must divide crossbar size %d", b, p.N)
 	}
 	sel := p.SelectedCells
 	if opts.SelectedCells != 0 {
 		sel = opts.SelectedCells
 	}
-	if sel <= 0 || sel > p.N/Buckets {
-		return nil, fmt.Errorf("timing: selected cells %d out of range 1..%d", sel, p.N/Buckets)
+	if sel <= 0 || sel > maxSel {
+		return nil, fmt.Errorf("timing: selected cells %d out of range 1..%d", sel, maxSel)
+	}
+	if opts.Content != WLContent && opts.Content != BLContent {
+		return nil, fmt.Errorf("timing: unknown content dimension %d", opts.Content)
 	}
 	f, err := circuit.NewFastModel(p)
 	if err != nil {
 		return nil, err
 	}
-	gran := p.N / Buckets
-	tbl := &Table{Granularity: gran, Content: opts.Content}
-	for wb := 0; wb < Buckets; wb++ {
+	return solveCorners(f, m, cornerOps(p.N, b, sel, opts.Content))
+}
+
+// cornerOps returns the operating point at the worst corner of every
+// bucket of a b×b×b table over an n×n crossbar, in row-major (wl, bl,
+// content) order.
+func cornerOps(n, b, sel int, content ContentDim) []circuit.FastOp {
+	gran := n / b
+	ops := make([]circuit.FastOp, 0, b*b*b)
+	for wb := 0; wb < b; wb++ {
 		row := (wb+1)*gran - 1
-		for bb := 0; bb < Buckets; bb++ {
-			// Worst bitlines of the bucket: the top `sel` columns.
-			colHigh := (bb + 1) * gran
+		for bb := 0; bb < b; bb++ {
+			// The selected byte's bitlines end at the bucket's top column;
+			// with buckets finer than a byte the span reaches back across
+			// neighboring buckets.
+			colHigh := max((bb+1)*gran, sel)
 			cols := make([]int, sel)
 			for i := range cols {
 				cols[i] = colHigh - sel + i
 			}
-			for cb := 0; cb < Buckets; cb++ {
-				content := (cb+1)*gran - 1
-				var op circuit.FastOp
-				switch opts.Content {
-				case WLContent:
-					wl := content
-					if wl > p.N-sel {
-						wl = p.N - sel
-					}
-					op = circuit.FastOp{Row: row, Cols: cols, WLLRS: wl, BLLRS: p.N - 1}
-				case BLContent:
-					bl := content
-					if bl > p.N-1 {
-						bl = p.N - 1
-					}
-					op = circuit.FastOp{Row: row, Cols: cols, WLLRS: p.N - sel, BLLRS: bl}
-				default:
-					return nil, fmt.Errorf("timing: unknown content dimension %d", opts.Content)
+			for cb := 0; cb < b; cb++ {
+				c := (cb+1)*gran - 1
+				if content == WLContent {
+					ops = append(ops, circuit.FastOp{Row: row, Cols: cols, WLLRS: min(c, n-sel), BLLRS: n - 1})
+				} else {
+					ops = append(ops, circuit.FastOp{Row: row, Cols: cols, WLLRS: n - sel, BLLRS: min(c, n-1)})
 				}
-				res, err := f.Solve(op)
-				if err != nil {
-					return nil, fmt.Errorf("generating bucket (%d,%d,%d): %w", wb, bb, cb, err)
-				}
-				tbl.LatNs[wb][bb][cb] = m.Latency(res.MinVd)
 			}
 		}
 	}
-	return tbl, nil
+	return ops
+}
+
+// solveCorners solves every operating point on a GOMAXPROCS-sized worker
+// pool and maps each to a latency. Every op writes only its own slot and
+// the first failure in index order is reported, so the result and the
+// error do not depend on scheduling.
+func solveCorners(f *circuit.FastModel, m Model, ops []circuit.FastOp) ([]float64, error) {
+	lat := make([]float64, len(ops))
+	errs := make([]error, len(ops))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), len(ops)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1) - 1); i < len(ops); i = int(next.Add(1) - 1) {
+				res, err := f.Solve(ops[i])
+				if err != nil {
+					errs[i] = err
+					continue
+				}
+				lat[i] = m.Latency(res.MinVd)
+			}
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			return nil, fmt.Errorf("timing: generating corner %d (row %d): %w", i, ops[i].Row, err)
+		}
+	}
+	return lat, nil
 }

@@ -1,7 +1,10 @@
 package timing
 
 import (
+	"fmt"
 	"math"
+	"runtime"
+	"strings"
 	"testing"
 
 	"ladder/internal/circuit"
@@ -246,9 +249,6 @@ func TestSurfaceExtremes(t *testing.T) {
 }
 
 func TestDefaultTableSetCachedAndSane(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full 512x512 table generation is slow")
-	}
 	a, err := DefaultTableSet()
 	if err != nil {
 		t.Fatal(err)
@@ -270,5 +270,141 @@ func TestDefaultTableSetCachedAndSane(t *testing.T) {
 	}
 	if a.WorstNs < MaxLatencyNs-1 {
 		t.Fatalf("worst entry %v; expected near %v", a.WorstNs, MaxLatencyNs)
+	}
+}
+
+// TestDefaultTableSetMatchesGenerator regenerates the paper's default
+// set and checks the shipped literals in default_tables.go against it:
+// bit for bit on amd64, where the file is generated, and to 1e-12
+// relative error elsewhere, where FMA fusion may move the regenerated
+// set's last bits. A failure means the circuit model or the generator
+// changed without `go generate ./internal/timing`.
+func TestDefaultTableSetMatchesGenerator(t *testing.T) {
+	got, err := DefaultTableSet()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := NewTableSet(circuit.DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	exact := runtime.GOARCH == "amd64"
+	worst, worstAt := 0.0, ""
+	check := func(name string, g, w float64) {
+		if exact {
+			if math.Float64bits(g) != math.Float64bits(w) {
+				t.Errorf("%s = %v (%#x), generator gives %v (%#x)", name, g, math.Float64bits(g), w, math.Float64bits(w))
+			}
+			return
+		}
+		rel := math.Abs(g-w) / math.Abs(w)
+		if g == w {
+			rel = 0
+		}
+		if rel > worst {
+			worst, worstAt = rel, name
+		}
+		if rel > 1e-12 {
+			t.Errorf("%s = %v, generator gives %v (relative error %g)", name, g, w, rel)
+		}
+	}
+	check("Model.C", got.Model.C, want.Model.C)
+	check("Model.K", got.Model.K, want.Model.K)
+	check("Model.MinNs", got.Model.MinNs, want.Model.MinNs)
+	check("Model.MaxNs", got.Model.MaxNs, want.Model.MaxNs)
+	check("WorstNs", got.WorstNs, want.WorstNs)
+	for _, tc := range []struct {
+		name string
+		g, w *Table
+	}{{"WL", got.WL, want.WL}, {"BL", got.BL, want.BL}, {"Half", got.Half, want.Half}} {
+		if tc.g.Granularity != tc.w.Granularity || tc.g.Content != tc.w.Content {
+			t.Errorf("%s: granularity/content %d/%d, generator gives %d/%d",
+				tc.name, tc.g.Granularity, tc.g.Content, tc.w.Granularity, tc.w.Content)
+		}
+		for wb := range tc.g.LatNs {
+			for bb := range tc.g.LatNs[wb] {
+				for cb := range tc.g.LatNs[wb][bb] {
+					check(fmt.Sprintf("%s[%d][%d][%d]", tc.name, wb, bb, cb), tc.g.LatNs[wb][bb][cb], tc.w.LatNs[wb][bb][cb])
+				}
+			}
+		}
+	}
+	if !exact {
+		t.Logf("%s: largest relative difference %g at %s", runtime.GOARCH, worst, worstAt)
+	}
+}
+
+// TestGenerateDeterministicAcrossProcs pins the worker pool's contract:
+// tables and errors do not depend on how many workers run the corners.
+func TestGenerateDeterministicAcrossProcs(t *testing.T) {
+	p := testParams()
+	p.N = 64 // 16 buckets of 4 cells: the selected byte spans two buckets
+	m, err := Calibrate(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type outcome struct {
+		wl   *Table
+		bl   *NTable
+		errs []string
+	}
+	f, err := circuit.NewFastModel(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Corners 3, 5 and 9 cannot be solved; the pool must report corner 3
+	// whichever worker reaches a bad corner first.
+	bad := cornerOps(p.N, 4, p.SelectedCells, WLContent)
+	for _, i := range []int{9, 5, 3} {
+		bad[i].Row = p.N + i
+	}
+	run := func(procs int) (o outcome) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		var err error
+		if o.wl, err = Generate(p, m, TableOptions{Content: WLContent}); err != nil {
+			t.Fatal(err)
+		}
+		if o.bl, err = GenerateN(p, m, 16, TableOptions{Content: BLContent}); err != nil {
+			t.Fatal(err)
+		}
+		_, err = solveCorners(f, m, bad)
+		o.errs = append(o.errs, fmt.Sprint(err))
+		_, err = GenerateN(p, m, 16, TableOptions{Content: ContentDim(7)})
+		o.errs = append(o.errs, fmt.Sprint(err))
+		return o
+	}
+	one, four := run(1), run(4)
+	if *one.wl != *four.wl {
+		t.Error("Generate differs between GOMAXPROCS 1 and 4")
+	}
+	for i := range one.bl.LatNs {
+		if math.Float64bits(one.bl.LatNs[i]) != math.Float64bits(four.bl.LatNs[i]) {
+			t.Fatalf("GenerateN(16) entry %d differs between GOMAXPROCS 1 and 4", i)
+		}
+	}
+	if !strings.Contains(one.errs[0], "corner 3 ") {
+		t.Errorf("pool error %q does not name the first failing corner", one.errs[0])
+	}
+	for i := range one.errs {
+		if one.errs[i] != four.errs[i] || one.errs[i] == "<nil>" {
+			t.Errorf("error %d: %q at GOMAXPROCS 1, %q at 4", i, one.errs[i], four.errs[i])
+		}
+	}
+}
+
+// BenchmarkGenerate times one 8×8×8 table (512 bucket-corner solves) on
+// the 128×128 test crossbar.
+func BenchmarkGenerate(b *testing.B) {
+	p := testParams()
+	m, err := Calibrate(p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Generate(p, m, TableOptions{Content: WLContent}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

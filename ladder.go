@@ -208,7 +208,7 @@ type (
 func DefaultCrossbarParams() CrossbarParams { return circuit.DefaultParams() }
 
 // DefaultTables returns the timing tables for the default crossbar,
-// generated once per process (the generation sweeps the circuit model).
+// shipped precomputed (no circuit sweep at run time).
 func DefaultTables() (*TableSet, error) { return timing.DefaultTableSet() }
 
 // NewTables calibrates and generates timing tables for a custom crossbar.
