@@ -18,6 +18,8 @@ func TestPopcountHelpersAllocFree(t *testing.T) {
 		l[i] = byte(i * 37)
 	}
 	var dst [LineSize]int
+	var cols [LineSize]uint16
+	lines := make([]Line, 64)
 	steps := map[string]func(){
 		"Ones":          func() { sink = l.Ones() },
 		"CountOnes":     func() { sink = CountOnes(l[:]) },
@@ -26,6 +28,11 @@ func TestPopcountHelpersAllocFree(t *testing.T) {
 		"SetsAndResets": func() { a, b := SetsAndResets(l[:], l[:]); sink = a + b },
 		"OnesPerByte":   func() { sink = OnesPerByte(l[:], dst[:]) },
 		"EncodePartial": func() { sink = int(EncodePartial(&l)) },
+		"ColumnOnes":    func() { ColumnOnes(&cols, lines); sink = int(cols[0]) },
+		"ColumnOnesDelta": func() {
+			ColumnOnesDelta(&cols, &lines[0], &l)
+			sink = int(cols[0])
+		},
 	}
 	for name, fn := range steps {
 		if n := testing.AllocsPerRun(100, fn); n != 0 {

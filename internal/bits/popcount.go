@@ -38,6 +38,54 @@ func perBytePop(x uint64) uint64 {
 	return (x + (x >> 4)) & 0x0f0f0f0f0f0f0f0f
 }
 
+// laneBatch is how many lines ColumnOnes sums in byte lanes before
+// widening: each line adds at most 8 per lane, and 31×8 = 248 fits a byte.
+const laneBatch = 31
+
+// ColumnOnes adds to dst[m] the number of '1' bits in byte m of every line
+// of ls. Byte m of every block of a wordline group sits on wordline m, so
+// over a group's blocks this is the per-wordline LRS count. It popcounts a
+// word per step and sums up to laneBatch lines in byte lanes before
+// widening into dst.
+func ColumnOnes(dst *[LineSize]uint16, ls []Line) {
+	for len(ls) > 0 {
+		n := min(len(ls), laneBatch)
+		var acc [lineWords]uint64
+		for i := range ls[:n] {
+			for w := range acc {
+				acc[w] += perBytePop(binary.LittleEndian.Uint64(ls[i][w*8:]))
+			}
+		}
+		for w, lanes := range acc {
+			for k := w * 8; k < w*8+8; k++ {
+				dst[k] += uint16(lanes & 0xff)
+				lanes >>= 8
+			}
+		}
+		ls = ls[n:]
+	}
+}
+
+// ColumnOnesDelta updates column counts for one line replaced by another:
+// dst[m] gains popcount(neu[m]) − popcount(old[m]), in uint16 arithmetic
+// that is exact whenever the result is in range. Unchanged words are
+// skipped.
+func ColumnOnesDelta(dst *[LineSize]uint16, old, neu *Line) {
+	for o := 0; o < LineSize; o += 8 {
+		ow := binary.LittleEndian.Uint64(old[o:])
+		nw := binary.LittleEndian.Uint64(neu[o:])
+		if ow == nw {
+			continue
+		}
+		po, pn := perBytePop(ow), perBytePop(nw)
+		for k := o; k < o+8; k++ {
+			dst[k] += uint16(pn&0xff) - uint16(po&0xff)
+			po >>= 8
+			pn >>= 8
+		}
+	}
+}
+
 // worstLane returns the maximum byte-lane value of a perBytePop result.
 func worstLane(lanes uint64) int {
 	m := 0

@@ -1,6 +1,7 @@
 package bits
 
 import (
+	mathbits "math/bits"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -121,6 +122,70 @@ func TestOnesPerByte(t *testing.T) {
 	for i := range want {
 		if dst[i] != want[i] {
 			t.Fatalf("dst[%d] = %d, want %d", i, dst[i], want[i])
+		}
+	}
+}
+
+// TestColumnOnes checks the lane-batched column counts against a plain
+// per-byte count, over line counts that straddle the lane flush.
+func TestColumnOnes(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	for _, n := range []int{0, 1, 30, 31, 32, 62, 64, 100} {
+		ls := make([]Line, n)
+		for i := range ls {
+			ls[i] = randLine(r)
+		}
+		if n == 64 {
+			for i := range ls {
+				for k := range ls[i] {
+					ls[i][k] = 0xff
+				}
+			}
+		}
+		var got, want [LineSize]uint16
+		for m := range got {
+			got[m] = uint16(m) // ColumnOnes adds to what dst holds
+			want[m] = uint16(m)
+		}
+		ColumnOnes(&got, ls)
+		for i := range ls {
+			for m, b := range ls[i] {
+				want[m] += uint16(mathbits.OnesCount8(b))
+			}
+		}
+		if got != want {
+			t.Fatalf("%d lines: ColumnOnes = %v, want %v", n, got, want)
+		}
+	}
+}
+
+// TestColumnOnesDelta checks that replacing a line moves the counts
+// exactly as recounting would, including counts that drop to zero.
+func TestColumnOnesDelta(t *testing.T) {
+	r := rand.New(rand.NewSource(12))
+	ls := make([]Line, 40)
+	for i := range ls {
+		ls[i] = randLine(r)
+	}
+	var got [LineSize]uint16
+	ColumnOnes(&got, ls)
+	for step := 0; step < 200; step++ {
+		i := r.Intn(len(ls))
+		neu := ls[i]
+		switch step % 3 {
+		case 0:
+			neu = randLine(r)
+		case 1:
+			neu[r.Intn(LineSize)] ^= byte(r.Intn(256))
+		default:
+			neu = Line{}
+		}
+		ColumnOnesDelta(&got, &ls[i], &neu)
+		ls[i] = neu
+		var want [LineSize]uint16
+		ColumnOnes(&want, ls)
+		if got != want {
+			t.Fatalf("step %d: delta-maintained counts diverge from a recount", step)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package reram
 
 import (
+	mbits "math/bits"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -473,5 +474,152 @@ func TestStoreErrorsOnBadAddress(t *testing.T) {
 	}
 	if _, err := s.RowCounters(big); err == nil {
 		t.Fatal("RowCounters beyond capacity should fail")
+	}
+}
+
+// refSplitmix is the byte-at-a-time prefill's PRNG, kept here as the
+// reference the store's word-at-a-time kernel must reproduce draw for draw.
+type refSplitmix struct{ x uint64 }
+
+func (s *refSplitmix) next() uint64 {
+	s.x += 0x9e3779b97f4a7c15
+	z := s.x
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	return z ^ (z >> 31)
+}
+
+// refHotByte is the reference dense-byte synthesis.
+func refHotByte(rng *refSplitmix, hotDraws int) byte {
+	switch hotDraws {
+	case 1:
+		return byte(rng.next())
+	case 2:
+		a, b, c := rng.next(), rng.next(), rng.next()
+		return byte((a | b) & c)
+	default:
+		return byte(rng.next() & rng.next())
+	}
+}
+
+// refPrefill is the byte-at-a-time resident-row synthesis the store's
+// kernel replaced: one draw, one byte and one popcount at a time. It fills
+// r and adds the row's bitline counts to cs (nil: no column tracking).
+func refPrefill(r *rowState, cs *colState, level int, seed, key uint64,
+	transform func(int, bits.Line) bits.Line, trackUnshifted bool) {
+	rng := &refSplitmix{x: seed ^ key*0x9e3779b97f4a7c15}
+	hotDraws, coldOdds := 3, uint64(16)
+	switch {
+	case level <= 1:
+		hotDraws, coldOdds = 1, 4
+	case level == 2:
+		hotDraws, coldOdds = 2, 8
+	}
+	var hotPos [BlockSize / 8]int
+	for w := range hotPos {
+		hotPos[w] = w*8 + int(rng.next()&7)
+	}
+	for b := 0; b < BlocksPerRow; b++ {
+		for w := 0; w < BlockSize/8; w++ {
+			for k := 0; k < 8; k++ {
+				pos := w*8 + k
+				var v byte
+				if pos == hotPos[w] {
+					v = refHotByte(rng, hotDraws)
+				} else if rng.next()%coldOdds == 0 {
+					v = 1 << (rng.next() & 7)
+				}
+				r.data[b][pos] = v
+			}
+		}
+		if transform != nil {
+			r.data[b] = transform(b, r.data[b])
+		}
+		for m := 0; m < BlockSize; m++ {
+			c := r.data[b][m]
+			r.counters[m] += uint16(mbits.OnesCount8(c))
+			if cs != nil {
+				for k := 0; k < 8; k++ {
+					if c&(1<<k) != 0 {
+						cs[m][b*8+k]++
+					}
+				}
+			}
+		}
+		if trackUnshifted {
+			raw := bits.Unshifted(r.data[b], b)
+			for m := 0; m < BlockSize; m++ {
+				r.unshifted[m] += uint16(mbits.OnesCount8(raw[m]))
+			}
+		}
+	}
+}
+
+// TestPrefillMatchesReference pins the store's resident-row synthesis to
+// the byte-at-a-time reference, bit for bit: row data, per-wordline
+// counters, unshifted counters and per-bitline counts, for every density
+// level branch, extreme seeds, rows sharing and splitting mat groups, and
+// storage transforms that are and are not Shift's inverse.
+func TestPrefillMatchesReference(t *testing.T) {
+	g := DefaultGeometry()
+	keys := []uint64{0, 1, 2, 511, 512, 513, 1023, 12345, 1<<20 + 7, g.Rows() - 1}
+	transforms := map[string]func(int, bits.Line) bits.Line{
+		"none":    nil,
+		"shifted": func(slot int, l bits.Line) bits.Line { return bits.Shifted(l, slot) },
+		"xor": func(slot int, l bits.Line) bits.Line {
+			for i := range l {
+				l[i] ^= byte(0xa5 + slot*7 + i)
+			}
+			return l
+		},
+	}
+	for _, level := range []int{1, 2, 3, 5} {
+		for _, seed := range []uint64{0, 7, ^uint64(0)} {
+			for name, tf := range transforms {
+				for _, cols := range []bool{false, true} {
+					s, err := NewStore(g)
+					if err != nil {
+						t.Fatal(err)
+					}
+					s.SetResident(level, seed)
+					s.SetResidentTransform(tf)
+					s.SetColumnTracking(cols)
+					s.TrackUnshiftedCounters()
+					refCols := map[uint64]*colState{}
+					for _, key := range keys {
+						got := s.ensure(key)
+						var want rowState
+						var cs *colState
+						if cols {
+							mg := key / uint64(g.MatRows)
+							if cs = refCols[mg]; cs == nil {
+								cs = &colState{}
+								refCols[mg] = cs
+							}
+						}
+						refPrefill(&want, cs, level, seed, key, tf, true)
+						if *got != want {
+							t.Fatalf("level %d seed %#x %s cols=%v row %d: prefill diverges from reference",
+								level, seed, name, cols, key)
+						}
+					}
+					if !cols {
+						if len(s.cols) != 0 {
+							t.Fatalf("level %d seed %#x %s: column state allocated with tracking off", level, seed, name)
+						}
+						continue
+					}
+					if len(s.cols) != len(refCols) {
+						t.Fatalf("level %d seed %#x %s: %d mat groups, want %d", level, seed, name, len(s.cols), len(refCols))
+					}
+					for mg, want := range refCols {
+						if got := s.cols[mg]; got == nil || *got != *want {
+							t.Fatalf("level %d seed %#x %s mat group %d: bitline counts diverge from reference",
+								level, seed, name, mg)
+						}
+					}
+				}
+			}
+		}
 	}
 }

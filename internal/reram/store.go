@@ -1,8 +1,10 @@
 package reram
 
 import (
+	"encoding/binary"
 	"fmt"
 	mbits "math/bits"
+	"slices"
 
 	"ladder/internal/bits"
 )
@@ -119,8 +121,10 @@ func (s *Store) SetResidentTransform(f func(slot int, l bits.Line) bits.Line) {
 	s.residentTransform = f
 }
 
-// residentHotCold returns the per-level bit statistics: hotMask builds a
-// hot byte by ANDing/ORing rng draws, coldShift sets the zero-byte odds.
+// residentParams returns the per-level bit statistics: hotDraws selects
+// how a dense byte combines rng draws (1: one draw; 2: (a|b)&c, three
+// draws; 3: a&b, two draws), coldOdds is the 1-in-N odds that a sparse
+// byte holds a single set bit.
 func residentParams(level int) (hotDraws int, coldOdds uint64) {
 	switch {
 	case level <= 1:
@@ -132,20 +136,7 @@ func residentParams(level int) (hotDraws int, coldOdds uint64) {
 	}
 }
 
-// residentHotByte synthesizes one dense byte for the given level.
-func residentHotByte(rng *splitmixState, hotDraws int) byte {
-	switch hotDraws {
-	case 1:
-		return byte(rng.next())
-	case 2:
-		a, b, c := rng.next(), rng.next(), rng.next()
-		return byte((a | b) & c) // p = 0.375
-	default:
-		return byte(rng.next() & rng.next()) // p = 0.25
-	}
-}
-
-// EnsureRow allocates (and prefils, when resident data is enabled) the
+// EnsureRow allocates (and prefills, when resident data is enabled) the
 // wordline group containing the line. The memory controller calls this on
 // first reference so metadata initialization observes resident content.
 func (s *Store) EnsureRow(line uint64) error {
@@ -153,93 +144,132 @@ func (s *Store) EnsureRow(line uint64) error {
 	if err != nil {
 		return err
 	}
-	s.ensure(s.geom.GlobalRow(loc), loc)
+	s.ensure(s.geom.GlobalRow(loc))
 	return nil
 }
 
 // ensure returns the row state, allocating and prefilling on first touch.
-func (s *Store) ensure(key uint64, loc Location) *rowState {
+func (s *Store) ensure(key uint64) *rowState {
 	if r := s.rows[key]; r != nil {
 		return r
 	}
 	r := &rowState{}
 	s.rows[key] = r
-	if s.residentLevel <= 0 {
-		return r
-	}
-	// Fill every block with resident data and build the counters.
-	var cs *colState
-	if s.trackCols {
-		matGroup := key / uint64(s.geom.MatRows)
-		cs = s.cols[matGroup]
-		if cs == nil {
-			cs = &colState{}
-			s.cols[matGroup] = cs
-		}
-	}
-	rng := splitmix(s.residentSeed ^ key*0x9e3779b97f4a7c15)
-	hotDraws, coldOdds := residentParams(s.residentLevel)
-	// coldOdds is always a power of two, so the cold-byte draw reduces to a
-	// mask test (identical on the same rng stream).
-	coldMask := coldOdds - 1
-	// One dense byte position per 8-byte word position, fixed per row and
-	// aligned across blocks (the page-repetitive pattern real data shows).
-	var hotPos [BlockSize / 8]int
-	for w := range hotPos {
-		hotPos[w] = w*8 + int(rng.next()&7)
-	}
-	for b := 0; b < BlocksPerRow; b++ {
-		for w := 0; w < BlockSize/8; w++ {
-			for k := 0; k < 8; k++ {
-				pos := w*8 + k
-				var v byte
-				if pos == hotPos[w] {
-					v = residentHotByte(rng, hotDraws)
-				} else if rng.next()&coldMask == 0 {
-					v = 1 << (rng.next() & 7)
-				}
-				r.data[b][pos] = v
-			}
-		}
-		if s.residentTransform != nil {
-			r.data[b] = s.residentTransform(b, r.data[b])
-		}
-		base := b * 8
-		for m := 0; m < BlockSize; m++ {
-			c := r.data[b][m]
-			if c == 0 {
-				continue
-			}
-			r.counters[m] += uint16(onesOf(c))
-			if cs != nil {
-				for v := c; v != 0; v &= v - 1 {
-					cs[m][base+mbits.TrailingZeros8(v)]++
-				}
-			}
-		}
-		if s.trackUnshifted {
-			raw := bits.Unshifted(r.data[b], b)
-			for m := 0; m < BlockSize; m++ {
-				if raw[m] != 0 {
-					r.unshifted[m] += uint16(onesOf(raw[m]))
-				}
-			}
-		}
+	if s.residentLevel > 0 {
+		s.prefill(r, key)
 	}
 	return r
 }
 
-// splitmix is a tiny deterministic PRNG for resident-data synthesis.
-type splitmixState struct{ x uint64 }
+// golden is splitmix64's increment (2^64 / φ).
+const golden = 0x9e3779b97f4a7c15
 
-func splitmix(seed uint64) *splitmixState { return &splitmixState{x: seed} }
-
-func (s *splitmixState) next() uint64 {
-	s.x += 0x9e3779b97f4a7c15
-	z := s.x
+// mix is splitmix64's output function: draw i (counting from 1) of a
+// stream seeded x0 is mix(x0 + i*golden).
+func mix(z uint64) uint64 {
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)
+}
+
+// prefill fills every block of a fresh row with resident data and builds
+// its counters. Draw order defines the content: the row's dense byte
+// positions first, then byte by byte through each block — a dense byte
+// takes its hotDraws combination, a sparse byte one draw plus a
+// bit-position draw when it comes up nonzero. Each 8-byte word is built in
+// a register.
+func (s *Store) prefill(r *rowState, key uint64) {
+	hotDraws, coldOdds := residentParams(s.residentLevel)
+	// coldOdds is a power of two, so the sparse-byte test is a mask test.
+	coldMask := coldOdds - 1
+	x := s.residentSeed ^ key*golden
+	// One dense byte position per 8-byte word position, fixed per row and
+	// aligned across blocks (the page-repetitive pattern real data shows).
+	var hotPos [BlockSize / 8]int
+	for w := range hotPos {
+		x += golden
+		hotPos[w] = int(mix(x) & 7)
+	}
+	for b := range r.data {
+		for w, hot := range hotPos {
+			var word uint64
+			for k := 0; k < 8; k++ {
+				x += golden
+				z := mix(x)
+				if k == hot {
+					switch hotDraws {
+					case 2:
+						x += golden
+						y := mix(x)
+						x += golden
+						z = (z | y) & mix(x) // p = 0.375
+					case 3:
+						x += golden
+						z &= mix(x) // p = 0.25
+					}
+					word |= (z & 0xff) << (8 * k)
+				} else if z&coldMask == 0 {
+					x += golden
+					word |= 1 << (8*k + int(mix(x)&7))
+				}
+			}
+			binary.LittleEndian.PutUint64(r.data[b][w*8:], word)
+		}
+		if s.residentTransform != nil {
+			r.data[b] = s.residentTransform(b, r.data[b])
+		}
+	}
+	bits.ColumnOnes(&r.counters, r.data[:])
+	if s.trackUnshifted {
+		r.unshifted = r.unshiftedCounts()
+	}
+	if s.trackCols {
+		cs := s.colState(key)
+		for b := range r.data {
+			cs.replace(b, &bits.Line{}, &r.data[b])
+		}
+	}
+}
+
+// unshiftedCounts recounts the row's per-wordline LRS counters over the
+// reverse-shifted bit layout.
+func (r *rowState) unshiftedCounts() [BlockSize]uint16 {
+	var raw [BlocksPerRow]bits.Line
+	for b := range raw {
+		raw[b] = bits.Unshifted(r.data[b], b)
+	}
+	var out [BlockSize]uint16
+	bits.ColumnOnes(&out, raw[:])
+	return out
+}
+
+// replace moves the bitline counts of block slot from content old to neu,
+// walking the changed bits a word at a time.
+func (cs *colState) replace(slot int, old, neu *bits.Line) {
+	base := slot * 8
+	for o := 0; o < BlockSize; o += 8 {
+		nw := binary.LittleEndian.Uint64(neu[o:])
+		for v := binary.LittleEndian.Uint64(old[o:]) ^ nw; v != 0; v &= v - 1 {
+			i := mbits.TrailingZeros64(v)
+			if nw&(1<<i) != 0 {
+				cs[o+i>>3][base+i&7]++
+			} else {
+				cs[o+i>>3][base+i&7]--
+			}
+		}
+	}
+}
+
+// colState returns the bitline counts of the row's mat group, allocating
+// them on first use.
+func (s *Store) colState(key uint64) *colState {
+	matGroup := key / uint64(s.geom.MatRows)
+	cs := s.cols[matGroup]
+	if cs == nil {
+		cs = &colState{}
+		s.cols[matGroup] = cs
+	}
+	return cs
 }
 
 // Geometry returns the store's geometry.
@@ -269,46 +299,16 @@ func (s *Store) Write(line uint64, data bits.Line) (old bits.Line, err error) {
 		return bits.Line{}, err
 	}
 	key := s.geom.GlobalRow(loc)
-	r := s.ensure(key, loc)
+	r := s.ensure(key)
 	old = r.data[loc.Slot]
-	for m := 0; m < BlockSize; m++ {
-		if old[m] == data[m] {
-			continue
-		}
-		delta := int(onesOf(data[m])) - int(onesOf(old[m]))
-		r.counters[m] = uint16(int(r.counters[m]) + delta)
-	}
+	bits.ColumnOnesDelta(&r.counters, &old, &data)
 	if s.trackCols {
-		// Update per-bitline counters for the changed bits.
-		matGroup := key / uint64(s.geom.MatRows)
-		cs := s.cols[matGroup]
-		if cs == nil {
-			cs = &colState{}
-			s.cols[matGroup] = cs
-		}
-		base := loc.Slot * 8
-		for m := 0; m < BlockSize; m++ {
-			changed := old[m] ^ data[m]
-			for v := changed; v != 0; v &= v - 1 {
-				k := mbits.TrailingZeros8(v)
-				if data[m]&(1<<uint(k)) != 0 {
-					cs[m][base+k]++
-				} else {
-					cs[m][base+k]--
-				}
-			}
-		}
+		s.colState(key).replace(loc.Slot, &old, &data)
 	}
 	if s.trackUnshifted {
 		rawOld := bits.Unshifted(old, loc.Slot)
 		rawNew := bits.Unshifted(data, loc.Slot)
-		for m := 0; m < BlockSize; m++ {
-			if rawOld[m] == rawNew[m] {
-				continue
-			}
-			delta := int(onesOf(rawNew[m])) - int(onesOf(rawOld[m]))
-			r.unshifted[m] = uint16(int(r.unshifted[m]) + delta)
-		}
+		bits.ColumnOnesDelta(&r.unshifted, &rawOld, &rawNew)
 	}
 	r.data[loc.Slot] = data
 	r.writes++
@@ -354,29 +354,11 @@ func (s *Store) MaxRowCounterUnshifted(line uint64) (int, error) {
 	if r == nil {
 		return 0, nil
 	}
-	if s.trackUnshifted {
-		m := uint16(0)
-		for _, c := range r.unshifted {
-			if c > m {
-				m = c
-			}
-		}
-		return int(m), nil
+	counters := r.unshifted
+	if !s.trackUnshifted {
+		counters = r.unshiftedCounts()
 	}
-	var counters [BlockSize]int
-	for b := 0; b < BlocksPerRow; b++ {
-		raw := bits.Unshifted(r.data[b], b)
-		for m := 0; m < BlockSize; m++ {
-			counters[m] += int(onesOf(raw[m]))
-		}
-	}
-	max := 0
-	for _, c := range counters {
-		if c > max {
-			max = c
-		}
-	}
-	return max, nil
+	return int(slices.Max(counters[:])), nil
 }
 
 // RowCounters returns a copy of the exact per-wordline LRS counters of the
@@ -401,13 +383,7 @@ func (s *Store) MaxRowCounter(line uint64) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	m := uint16(0)
-	for _, c := range cs {
-		if c > m {
-			m = c
-		}
-	}
-	return int(m), nil
+	return int(slices.Max(cs[:])), nil
 }
 
 // RecountRow recomputes the row counters from the stored data, for
@@ -422,13 +398,7 @@ func (s *Store) RecountRow(line uint64) ([BlockSize]uint16, error) {
 	if r == nil {
 		return out, nil
 	}
-	for m := 0; m < BlockSize; m++ {
-		total := 0
-		for b := 0; b < BlocksPerRow; b++ {
-			total += int(onesOf(r.data[b][m]))
-		}
-		out[m] = uint16(total)
-	}
+	bits.ColumnOnes(&out, r.data[:])
 	return out, nil
 }
 
@@ -473,18 +443,3 @@ func (s *Store) MaxRowWrites() uint64 {
 func (s *Store) String() string {
 	return fmt.Sprintf("reram.Store{rows: %d, writes: %d}", len(s.rows), s.totalWrites)
 }
-
-var onesTable [256]uint8
-
-func init() {
-	for i := range onesTable {
-		v, n := i, 0
-		for v != 0 {
-			v &= v - 1
-			n++
-		}
-		onesTable[i] = uint8(n)
-	}
-}
-
-func onesOf(b byte) uint8 { return onesTable[b] }
