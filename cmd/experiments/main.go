@@ -331,8 +331,9 @@ func checkInterrupt() {
 	}
 }
 
-// gridProgress, when -http is set, publishes each finished grid or study
-// cell to the introspection server; it rides in every run's Options.
+// gridProgress, when -http is set, publishes each grid or study notice
+// (a cell completion or a running cell's snapshot) to the introspection
+// server; it rides in every run's Options.
 var gridProgress func(ladder.GridProgress)
 
 func mustGrid(opts ladder.Options, schemes []string) *ladder.Grid {

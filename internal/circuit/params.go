@@ -112,12 +112,6 @@ func (p *Params) targetRFactor() float64 {
 	return p.TargetRFactor
 }
 
-// TargetCurrent returns the sustained current through a fully-selected
-// cell under RESET at drop v (see TargetRFactor).
-func (p Params) TargetCurrent(v float64) float64 {
-	return p.cellCurrentR(v, p.RLRS*p.targetRFactor())
-}
-
 // TargetConductance returns the linearization conductance of a
 // fully-selected cell under RESET.
 func (p *Params) TargetConductance(v float64) float64 {

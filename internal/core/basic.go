@@ -16,11 +16,6 @@ type Basic struct {
 	*ladderBase
 }
 
-// NewBasic builds the scheme with the default metadata cache.
-func NewBasic(env *Env) (*Basic, error) {
-	return NewBasicCache(env, DefaultMetaCacheConfig())
-}
-
 // NewBasicCache builds the scheme with an explicit cache configuration
 // (cache-size ablations).
 func NewBasicCache(env *Env, cacheCfg MetaCacheConfig) (*Basic, error) {

@@ -370,7 +370,7 @@ func TestBLPTracksBitlineContent(t *testing.T) {
 
 func TestBasicLifecycle(t *testing.T) {
 	env := testEnv(t)
-	s, err := NewBasic(env)
+	s, err := NewBasicCache(env, DefaultMetaCacheConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -440,7 +440,7 @@ func TestBasicLifecycle(t *testing.T) {
 
 func TestBasicSecondWriteHitsCache(t *testing.T) {
 	env := testEnv(t)
-	s, err := NewBasic(env)
+	s, err := NewBasicCache(env, DefaultMetaCacheConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -471,7 +471,7 @@ func TestBasicSecondWriteHitsCache(t *testing.T) {
 
 func TestEstLifecycleAndEstimateSound(t *testing.T) {
 	env := testEnv(t)
-	s, err := NewEst(env)
+	s, err := NewEstCache(env, true, DefaultMetaCacheConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -503,7 +503,7 @@ func TestEstLifecycleAndEstimateSound(t *testing.T) {
 
 func TestEstDecodeReadRoundTrip(t *testing.T) {
 	env := testEnv(t)
-	s, err := NewEst(env)
+	s, err := NewEstCache(env, true, DefaultMetaCacheConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -523,7 +523,7 @@ func TestEstDecodeReadRoundTrip(t *testing.T) {
 
 func TestEstNoShiftOption(t *testing.T) {
 	env := testEnv(t)
-	s, err := NewEstOpts(env, false)
+	s, err := NewEstCache(env, false, DefaultMetaCacheConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -539,9 +539,9 @@ func TestEstNoShiftOption(t *testing.T) {
 
 func TestEstShiftingLowersEstimates(t *testing.T) {
 	env := testEnv(t)
-	withShift, _ := NewEst(env)
+	withShift, _ := NewEstCache(env, true, DefaultMetaCacheConfig())
 	env2 := testEnv(t)
-	noShift, _ := NewEstOpts(env2, false)
+	noShift, _ := NewEstCache(env2, false, DefaultMetaCacheConfig())
 	// Clustered line: one dense byte per chip group.
 	var clustered bits.Line
 	for g := 0; g < bits.ChipGroups; g++ {
@@ -564,7 +564,7 @@ func TestEstShiftingLowersEstimates(t *testing.T) {
 
 func TestHybridLowPrecisionPath(t *testing.T) {
 	env := testEnv(t)
-	s, err := NewHybrid(env)
+	s, err := NewHybridCache(env, DefaultMetaCacheConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -605,7 +605,7 @@ func TestHybridLowPrecisionPath(t *testing.T) {
 
 func TestHybridSharedLineAcrossPages(t *testing.T) {
 	env := testEnv(t)
-	s, err := NewHybrid(env)
+	s, err := NewHybridCache(env, DefaultMetaCacheConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -656,7 +656,7 @@ func TestLowSlotBits(t *testing.T) {
 
 func TestSpillAndRetry(t *testing.T) {
 	env := testEnv(t)
-	s, err := NewEst(env)
+	s, err := NewEstCache(env, true, DefaultMetaCacheConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

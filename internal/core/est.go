@@ -17,19 +17,8 @@ type Est struct {
 	shifting bool
 }
 
-// NewEst builds the scheme with the default metadata cache and shifting
-// enabled.
-func NewEst(env *Env) (*Est, error) {
-	return NewEstOpts(env, true)
-}
-
-// NewEstOpts builds the scheme with explicit shifting control.
-func NewEstOpts(env *Env, shifting bool) (*Est, error) {
-	return NewEstCache(env, shifting, DefaultMetaCacheConfig())
-}
-
-// NewEstCache builds the scheme with an explicit cache configuration
-// (cache-size ablations).
+// NewEstCache builds the scheme with explicit shifting control and
+// cache configuration (cache-size ablations).
 func NewEstCache(env *Env, shifting bool, cacheCfg MetaCacheConfig) (*Est, error) {
 	b, err := newLadderBase(env, cacheCfg)
 	if err != nil {
@@ -41,9 +30,7 @@ func NewEstCache(env *Env, shifting bool, cacheCfg MetaCacheConfig) (*Est, error
 		return estInitLine(env, key)
 	})
 	if shifting {
-		// Every dispatch samples the unshifted-layout C^w_lrs (Figure 15);
-		// incremental counters keep that a max instead of a 64-block scan.
-		env.Store.TrackUnshiftedCounters()
+		useShiftedDatapath(env)
 	}
 	return &Est{ladderBase: b, shifting: shifting}, nil
 }

@@ -17,11 +17,6 @@ type Hybrid struct {
 	shifting bool
 }
 
-// NewHybrid builds the scheme with the default metadata cache.
-func NewHybrid(env *Env) (*Hybrid, error) {
-	return NewHybridCache(env, DefaultMetaCacheConfig())
-}
-
 // NewHybridCache builds the scheme with an explicit cache configuration
 // (cache-size ablations).
 func NewHybridCache(env *Env, cacheCfg MetaCacheConfig) (*Hybrid, error) {
@@ -35,8 +30,8 @@ func NewHybridCache(env *Env, cacheCfg MetaCacheConfig) (*Hybrid, error) {
 	b.cache.SetInitializer(func(key uint64) MetaLine {
 		return hybridInitLine(env, layout, key)
 	})
-	// Hybrid always shifts; see the matching call in NewEstCache.
-	env.Store.TrackUnshiftedCounters()
+	// Hybrid always shifts.
+	useShiftedDatapath(env)
 	return &Hybrid{ladderBase: b, shifting: true}, nil
 }
 

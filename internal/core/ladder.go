@@ -219,6 +219,18 @@ func (b *ladderBase) crashRecover() {
 // SpillDepth returns the current number of parked requests.
 func (b *ladderBase) SpillDepth() int { return len(b.spill) }
 
+// useShiftedDatapath sets the store up for a scheme that bit-shifts
+// lines before storing them (Est with shifting on, Hybrid): resident
+// data written before the simulation window went through the same shift,
+// and every dispatch samples the unshifted-layout C^w_lrs (Figure 15),
+// which incremental counters keep a max instead of a 64-block scan.
+func useShiftedDatapath(env *Env) {
+	env.Store.SetResidentTransform(func(slot int, l bits.Line) bits.Line {
+		return bits.Shifted(l, slot)
+	})
+	env.Store.TrackUnshiftedCounters()
+}
+
 // payloadFor applies the controller datapath: LADDER-Est/Hybrid shift the
 // line; Basic stores it as-is.
 func payloadFor(data bits.Line, slot int, shifting bool) bits.Line {

@@ -69,8 +69,10 @@ func NewSplitReset(env *Env) Scheme {
 // bitline's LRS count is at or below the half-full threshold, the write
 // uses the latency that is safe for that threshold; otherwise it falls
 // back to the worst case. (LADDER's contribution is precisely the finer,
-// 8-level content model.)
+// 8-level content model.) The profiling readout needs the store's
+// per-bitline LRS tracking, so building the scheme switches it on.
 func NewBLP(env *Env) Scheme {
+	env.Store.SetColumnTracking(true)
 	return &simpleScheme{env: env, name: "BLP", latency: func(e *Env, req *WriteRequest) float64 {
 		c, err := e.Store.MaxSelectedColCount(req.Line)
 		if err != nil {

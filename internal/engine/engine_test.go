@@ -78,7 +78,7 @@ func TestEngineProgressHook(t *testing.T) {
 	p := &pulseActor{busyUntil: 2500}
 	e.Add(p)
 	var fired []uint64
-	e.SetProgress(1000, func(now uint64) { fired = append(fired, now) })
+	e.SetObserver(1000, func(now uint64) { fired = append(fired, now) })
 	for e.Step() {
 	}
 	// Boundaries at 999, 1999 fall in the dead window; the hook must force
@@ -94,7 +94,7 @@ func TestEngineObserverHook(t *testing.T) {
 	p := &pulseActor{busyUntil: 2500}
 	e.Add(p)
 	var progress, observer []uint64
-	e.SetProgress(1000, func(now uint64) { progress = append(progress, now) })
+	e.SetObserver(1000, func(now uint64) { progress = append(progress, now) })
 	e.SetObserver(700, func(now uint64) { observer = append(observer, now) })
 	for e.Step() {
 	}
@@ -122,7 +122,7 @@ func TestEngineObserverSharedBoundaryOrder(t *testing.T) {
 	p := &pulseActor{busyUntil: 1200}
 	e.Add(p)
 	var order []string
-	e.SetProgress(500, func(uint64) { order = append(order, "progress") })
+	e.SetObserver(500, func(uint64) { order = append(order, "progress") })
 	e.SetObserver(500, func(uint64) { order = append(order, "observer") })
 	for e.Step() {
 	}

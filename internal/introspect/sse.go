@@ -33,7 +33,8 @@ type event struct {
 
 // Broker fans published events out to Server-Sent-Events subscribers:
 // the live half of the timeline endpoint (each closed epoch streams to
-// every watcher) and anything else that wants a push feed.
+// every watcher), each service job's status stream, and anything else
+// that wants a push feed.
 //
 // Delivery is hardened against slow consumers in both directions:
 // Publish never blocks — a subscriber whose buffer fills is dropped
@@ -49,6 +50,7 @@ type Broker struct {
 	subs   map[chan event]struct{}
 	hist   []event // ring of the last historySize events, oldest first
 	nextID uint64  // next event ID to assign (IDs start at 1)
+	closed bool    // set by Close: streams end after the replay
 }
 
 // NewBroker returns a broker sending keepalive comments at the given
@@ -89,6 +91,23 @@ func (b *Broker) Publish(body []byte) {
 	}
 }
 
+// Close ends the stream for good: every live subscriber's stream ends
+// after the last published event, and a later subscriber replays the
+// retained history and then ends. A job's status stream closes this way
+// after its terminal event. Safe on a nil broker.
+func (b *Broker) Close() {
+	if b == nil {
+		return
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.closed = true
+	for ch := range b.subs {
+		delete(b.subs, ch)
+		close(ch)
+	}
+}
+
 // Subscribers reports the current subscriber count.
 func (b *Broker) Subscribers() int {
 	if b == nil {
@@ -112,12 +131,21 @@ func (b *Broker) LastEventID() uint64 {
 
 // subscribe registers a subscriber and atomically computes its replay:
 // every retained event with ID greater than after, so a resuming client
-// misses nothing between its last-seen event and the live stream.
+// misses nothing between its last-seen event and the live stream. An
+// after beyond the last assigned ID came from an earlier broker (a
+// restarted process, a resubmitted job), so it replays everything. On a
+// closed broker the channel is nil: the replay is all there is.
 func (b *Broker) subscribe(after uint64) (chan event, []event) {
-	ch := make(chan event, subBuffer)
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.subs[ch] = struct{}{}
+	var ch chan event
+	if !b.closed {
+		ch = make(chan event, subBuffer)
+		b.subs[ch] = struct{}{}
+	}
+	if after > b.nextID {
+		after = 0
+	}
 	var replay []event
 	for _, ev := range b.hist {
 		if ev.id > after {
@@ -138,10 +166,10 @@ func (b *Broker) unsubscribe(ch chan event) {
 
 // ServeHTTP streams the broker's events as text/event-stream: one
 // "id:" + "data:" frame per published body, a ": keepalive" comment on
-// every idle keepalive period, until the client disconnects or falls
-// far enough behind to be dropped. A request carrying the standard
-// Last-Event-ID header resumes after that event, replaying missed
-// events from the history ring first.
+// every idle keepalive period, until the client disconnects, falls far
+// enough behind to be dropped, or the broker is closed. A request
+// carrying the standard Last-Event-ID header resumes after that event,
+// replaying missed events from the history ring first.
 func (b *Broker) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	fl, ok := w.(http.Flusher)
 	if !ok {
@@ -167,6 +195,9 @@ func (b *Broker) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if len(replay) > 0 {
 		fl.Flush()
 	}
+	if ch == nil {
+		return
+	}
 
 	var keep <-chan time.Time
 	if b.keepalive > 0 {
@@ -180,8 +211,9 @@ func (b *Broker) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			return
 		case ev, open := <-ch:
 			if !open {
-				// Dropped for falling behind: end the stream so the client
-				// reconnects with Last-Event-ID and replays the gap.
+				// Closed, or dropped for falling behind: end the stream. A
+				// dropped client reconnects with Last-Event-ID and replays
+				// the gap.
 				return
 			}
 			writeSSE(w, ev)

@@ -3,6 +3,7 @@ package introspect
 import (
 	"bufio"
 	"bytes"
+	"io"
 	"net/http"
 	"strings"
 	"testing"
@@ -245,5 +246,62 @@ func TestBrokerHistoryRingBounded(t *testing.T) {
 	}
 	if first := replay[0].id; first != 11 {
 		t.Fatalf("oldest retained id = %d, want 11", first)
+	}
+}
+
+// TestBrokerClose pins the end of a stream: a live subscriber's stream
+// ends right after the last published event, a subscriber arriving
+// after Close replays the retained history and then ends, and a
+// Last-Event-ID this broker never assigned replays everything.
+func TestBrokerClose(t *testing.T) {
+	srv := newTestServer(t)
+	b := NewBroker(-1)
+	srv.Handle("/events", b)
+
+	r, done := sseOpen(t, srv, "/events")
+	defer done()
+	for i := 0; i < 200 && b.Subscribers() == 0; i++ {
+		time.Sleep(5 * time.Millisecond)
+	}
+	b.Publish([]byte(`{"n":1}`))
+	b.Publish([]byte(`{"n":2}`))
+	b.Close()
+	live, err := io.ReadAll(r)
+	if err != nil {
+		t.Fatalf("live stream: %v", err)
+	}
+	want := "id: 1\ndata: {\"n\":1}\n\nid: 2\ndata: {\"n\":2}\n\n"
+	if string(live) != want {
+		t.Fatalf("live stream = %q, want %q", live, want)
+	}
+	if n := b.Subscribers(); n != 0 {
+		t.Fatalf("%d subscribers after Close", n)
+	}
+
+	for _, tc := range []struct{ lastID, want string }{
+		{"", want},
+		{"1", "id: 2\ndata: {\"n\":2}\n\n"},
+		{"2", ""},
+		{"99", want},
+	} {
+		req, err := http.NewRequest(http.MethodGet, "http://"+srv.Addr()+"/events", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tc.lastID != "" {
+			req.Header.Set("Last-Event-ID", tc.lastID)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("Last-Event-ID %q: %v", tc.lastID, err)
+		}
+		if string(body) != tc.want {
+			t.Errorf("after Close, Last-Event-ID %q: stream = %q, want %q", tc.lastID, body, tc.want)
+		}
 	}
 }

@@ -40,7 +40,7 @@ func newFaultHarness(t *testing.T, mk func(*core.Env) core.Scheme, cfg fault.Con
 
 func basicScheme(t *testing.T) func(*core.Env) core.Scheme {
 	return func(env *core.Env) core.Scheme {
-		s, err := core.NewBasic(env)
+		s, err := core.NewBasicCache(env, core.DefaultMetaCacheConfig())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -5,8 +5,8 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
-	"time"
 
+	"ladder/internal/introspect"
 	"ladder/internal/metrics"
 )
 
@@ -166,75 +166,26 @@ func (s *Service) handleReport(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// handleEvents implements GET /jobs/{id}/events: a Server-Sent Events
-// stream of Status documents — the current state immediately, then one
-// event per grid-cell completion and state transition, ending with the
-// terminal event. Every frame carries an "id:" field (the job's event
-// sequence); a client reconnecting with the standard Last-Event-ID
-// header skips the initial frame if it already saw it. Slow consumers
-// may miss intermediate progress events (the per-subscriber buffer is
-// bounded) but always see the terminal state.
+// handleEvents implements GET /jobs/{id}/events: the job's status log
+// over Server-Sent Events (introspect.Broker). A new subscriber replays
+// the retained log (every frame a full Status document) and then follows
+// it live; the stream closes after the terminal frame. Last-Event-ID
+// resumes after that frame, so a client dropped for falling behind
+// loses nothing by reconnecting.
 func (s *Service) handleEvents(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	ch, cur, ok := s.subscribe(id)
+	s.mu.Lock()
+	j, ok := s.jobs[id]
+	var events *introspect.Broker
+	if ok {
+		events = j.events
+	}
+	s.mu.Unlock()
 	if !ok {
 		writeError(w, http.StatusNotFound, "unknown job %q", id)
 		return
 	}
-	var after uint64
-	resuming := false
-	if v := r.Header.Get("Last-Event-ID"); v != "" {
-		// A malformed ID is treated as absent: the client starts fresh.
-		if n, err := strconv.ParseUint(v, 10, 64); err == nil {
-			after, resuming = n, true
-		}
-	}
-	fl, canFlush := w.(http.Flusher)
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-store")
-	send := func(ev jobEvent) {
-		fmt.Fprintf(w, "id: %d\ndata: %s\n\n", ev.id, ev.body)
-		if canFlush {
-			fl.Flush()
-		}
-	}
-	if !resuming || cur.id > after {
-		// Fresh clients always get the current snapshot; a resuming client
-		// skips it if its Last-Event-ID shows it already saw this state.
-		send(cur)
-	} else if canFlush {
-		// Nothing new yet: commit the stream headers so the client knows
-		// the resume was accepted.
-		fl.Flush()
-	}
-	if ch == nil { // already terminal: the current event was the last
-		return
-	}
-	// Keepalive comments hold the connection open through idle stretches
-	// (a queued job can sit silent for minutes; proxies reap quiet
-	// streams). Comment frames are invisible to EventSource clients.
-	var keep <-chan time.Time
-	if s.cfg.SSEKeepalive > 0 {
-		t := time.NewTicker(s.cfg.SSEKeepalive)
-		defer t.Stop()
-		keep = t.C
-	}
-	for {
-		select {
-		case <-r.Context().Done():
-			return
-		case ev, open := <-ch:
-			if !open {
-				return
-			}
-			send(ev)
-		case <-keep:
-			fmt.Fprint(w, ": keepalive\n\n")
-			if canFlush {
-				fl.Flush()
-			}
-		}
-	}
+	events.ServeHTTP(w, r)
 }
 
 // handleStats implements GET /stats.

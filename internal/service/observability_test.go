@@ -51,6 +51,125 @@ func TestSSEKeepalive(t *testing.T) {
 	t.Fatalf("stream ended without keepalive (status=%v keepalive=%v): %v", sawStatus, sawKeepalive, sc.Err())
 }
 
+// sseFrame is one id/data pair of a job's event stream.
+type sseFrame struct {
+	id string
+	st Status
+}
+
+// readEvents reads a job's event stream to its end, resuming after
+// lastID when set. A stream that does not close within the client
+// timeout fails the test.
+func readEvents(t *testing.T, url, lastID string) []sseFrame {
+	t.Helper()
+	req, err := http.NewRequest(http.MethodGet, url, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lastID != "" {
+		req.Header.Set("Last-Event-ID", lastID)
+	}
+	resp, err := (&http.Client{Timeout: 10 * time.Second}).Do(req)
+	if err != nil {
+		t.Fatalf("GET events: %v", err)
+	}
+	defer resp.Body.Close()
+	var frames []sseFrame
+	var id string
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		line := sc.Text()
+		if v, ok := strings.CutPrefix(line, "id: "); ok {
+			id = v
+		}
+		if v, ok := strings.CutPrefix(line, "data: "); ok {
+			f := sseFrame{id: id}
+			if err := json.Unmarshal([]byte(v), &f.st); err != nil {
+				t.Fatalf("frame %s is not a Status: %v", id, err)
+			}
+			frames = append(frames, f)
+		}
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatalf("event stream did not end cleanly: %v", err)
+	}
+	return frames
+}
+
+// TestEventStreamReplaysAndCloses pins the job stream as a replayable
+// log: a subscriber arriving after the terminal state replays the whole
+// lifecycle, ending in the done frame, and then the stream ends; one
+// resuming from the terminal frame's ID gets no frame and an immediate
+// end.
+func TestEventStreamReplaysAndCloses(t *testing.T) {
+	_, ts := newTestService(t, Config{})
+	_, sub := postJob(t, ts.URL, `{"workloads":["astar","lbm"],"schemes":["Baseline"],"instr":2000,"seed":7}`)
+	events := ts.URL + "/jobs/" + sub.ID + "/events"
+	live := readEvents(t, events, "")
+	if len(live) == 0 || live[len(live)-1].st.State != StateDone {
+		t.Fatalf("live stream did not end on the done frame: %+v", live)
+	}
+
+	frames := readEvents(t, events, "")
+	var states []string
+	for _, f := range frames {
+		states = append(states, f.st.State)
+	}
+	want := []string{StateQueued, StateRunning, StateRunning, StateRunning, StateDone}
+	if strings.Join(states, ",") != strings.Join(want, ",") {
+		t.Fatalf("replayed states = %v, want %v", states, want)
+	}
+	last := frames[len(frames)-1]
+	if last.st.Done != 2 || last.st.Total != 2 || last.st.ReportURL == "" {
+		t.Fatalf("terminal frame incomplete: %+v", last.st)
+	}
+	if again := readEvents(t, events, last.id); len(again) != 0 {
+		t.Fatalf("resume from the terminal frame replayed %+v, want nothing", again)
+	}
+}
+
+// TestResubmittedJobStreamRestarts: resubmitting a canceled job opens a
+// fresh stream, and a client resuming with an ID from the closed one
+// replays the new stream from its queued frame.
+func TestResubmittedJobStreamRestarts(t *testing.T) {
+	_, ts := newIdleService(t, Config{SSEKeepalive: -1})
+	body := `{"workloads":["astar"],"schemes":["Baseline"]}`
+	_, sub := postJob(t, ts.URL, body)
+	req, _ := http.NewRequest("DELETE", ts.URL+"/jobs/"+sub.ID, nil)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	events := ts.URL + "/jobs/" + sub.ID + "/events"
+	old := readEvents(t, events, "")
+	if len(old) != 2 || old[1].st.State != StateCanceled {
+		t.Fatalf("canceled job's stream = %+v, want queued then canceled", old)
+	}
+
+	if resp, re := postJob(t, ts.URL, body); re.Outcome != "resubmitted" {
+		t.Fatalf("resubmit = %d/%q", resp.StatusCode, re.Outcome)
+	}
+	req, _ = http.NewRequest(http.MethodGet, events, nil)
+	req.Header.Set("Last-Event-ID", old[1].id)
+	resp, err = http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		if v, ok := strings.CutPrefix(sc.Text(), "data: "); ok {
+			var st Status
+			if err := json.Unmarshal([]byte(v), &st); err != nil || st.State != StateQueued {
+				t.Fatalf("first resumed frame = %s (%v), want the queued status", v, err)
+			}
+			return
+		}
+	}
+	t.Fatalf("resumed stream ended without a frame: %v", sc.Err())
+}
+
 // TestPromEndpoint scrapes /metrics/prom after a full job lifecycle:
 // the output must lint as exposition format 0.0.4 and carry both the
 // registry counters and the per-job labeled progress series.

@@ -42,9 +42,9 @@
 // Jobs execute one at a time in submission order on a single executor
 // goroutine — within a job, sim.RunGridCtx fans cells out over its own
 // worker pool — so the bounded queue is the only admission control
-// needed. Progress streams to subscribers over Server-Sent Events from
-// the grid's serialized progress callbacks. The full API reference,
-// with request/response schemas and a curl walkthrough, is
+// needed. Each job's status changes form a replayable log on its own
+// introspect.Broker, served over Server-Sent Events. The full API
+// reference, with request/response schemas and a curl walkthrough, is
 // docs/SERVICE.md.
 package service
 
@@ -61,6 +61,7 @@ import (
 	"time"
 
 	"ladder/internal/chaos"
+	"ladder/internal/introspect"
 	"ladder/internal/logging"
 	"ladder/internal/metrics"
 	"ladder/internal/sim"
@@ -101,8 +102,9 @@ type Config struct {
 	Tables *timing.TableSet
 	// SSEKeepalive is the comment-frame cadence on idle event streams —
 	// proxies reap silent connections, so a queued job's subscribers get
-	// ": keepalive" comments while nothing happens. 0 = 15s; negative
-	// disables keepalives (test seam).
+	// ": keepalive" comments while nothing happens. It goes to each job's
+	// introspect.NewBroker: 0 = introspect.DefaultSSEKeepalive (15s);
+	// negative disables keepalives.
 	SSEKeepalive time.Duration
 	// Logger receives job-lifecycle records (submitted, started,
 	// finished). Nil discards them; serve mode wires a JSON logger.
@@ -145,19 +147,9 @@ func (c *Config) applyDefaults() {
 	if c.MaxInstr == 0 {
 		c.MaxInstr = 10_000_000
 	}
-	if c.SSEKeepalive == 0 {
-		c.SSEKeepalive = 15 * time.Second
-	}
 	if c.Logger == nil {
 		c.Logger = logging.Discard()
 	}
-}
-
-// jobEvent is one SSE status event with its per-job sequence ID, so a
-// reconnecting subscriber can resume with Last-Event-ID.
-type jobEvent struct {
-	id   uint64
-	body []byte
 }
 
 // job is the service-side record of one submitted configuration.
@@ -173,10 +165,11 @@ type job struct {
 	// crashed marks a failure caused by the process (crash, watchdog
 	// abandonment) rather than the request: resubmitting re-runs it
 	// instead of serving the cached failure.
-	crashed   bool
-	seq       uint64 // SSE event sequence, monotonically increasing
-	cancel    context.CancelFunc
-	subs      []chan jobEvent // SSE subscribers
+	crashed bool
+	cancel  context.CancelFunc
+	// events is the job's status log: one full Status document per state
+	// change or cell completion, closed after the terminal one.
+	events    *introspect.Broker
 	submitted time.Time
 	finished  time.Time
 }
@@ -252,10 +245,8 @@ func (s *Service) restore(rec *Recovery) {
 	defer s.mu.Unlock()
 	var evicted []string
 	for _, rj := range rec.Jobs {
-		j := &job{
-			id: rj.ID, req: rj.Req, state: StateQueued,
-			crashed: rj.Crashed, submitted: time.Now(),
-		}
+		j := s.newJob(rj.ID, rj.Req)
+		j.crashed = rj.Crashed
 		if rj.State == StateQueued {
 			select {
 			case s.queue <- j:
@@ -272,7 +263,11 @@ func (s *Service) restore(rec *Recovery) {
 		}
 		s.jobs[j.id] = j
 		s.order = append(s.order, j.id)
-		if rj.State != StateQueued {
+		if rj.State == StateQueued {
+			j.events.Publish(j.statusEvent())
+		} else {
+			// finishLocked publishes the terminal status and closes the
+			// stream.
 			ev := s.finishLocked(j, rj.State, rj.ErrMsg, rj.Report, j.crashed)
 			evicted = append(evicted, ev...)
 			j.finished = time.Time{} // not finished by this process
@@ -452,13 +447,14 @@ func (s *Service) submit(req Request) (*job, submitOutcome) {
 			return j, outcomeCached
 		}
 	}
-	j := &job{id: id, req: req, state: StateQueued, submitted: time.Now()}
+	j := s.newJob(id, req)
 	select {
 	case s.queue <- j:
 	default:
 		s.reg.Counter("service.jobs.rejected").Inc()
 		return nil, outcomeRejected
 	}
+	j.events.Publish(j.statusEvent())
 	s.jobs[id] = j
 	s.order = append(s.order, id)
 	s.reg.Counter("service.jobs.submitted").Inc()
@@ -468,10 +464,19 @@ func (s *Service) submit(req Request) (*job, submitOutcome) {
 	return j, outcomeNew
 }
 
+// newJob returns a queued job with an open event stream.
+func (s *Service) newJob(id string, req Request) *job {
+	return &job{
+		id: id, req: req, state: StateQueued, submitted: time.Now(),
+		events: introspect.NewBroker(s.cfg.SSEKeepalive),
+	}
+}
+
 // resubmitLocked returns a canceled or crashed job to the pending
-// queue, resetting its terminal state. The job keeps its identity (and
-// SSE sequence), so watchers attached before the resubmit see the new
-// lifecycle continue. Callers hold s.mu.
+// queue, resetting its terminal state. The job keeps its identity; its
+// closed event stream is replaced by a fresh one that starts with the
+// queued status (a client resuming with an ID from the old stream
+// replays the new one from the start). Callers hold s.mu.
 func (s *Service) resubmitLocked(j *job) (*job, submitOutcome) {
 	select {
 	case s.queue <- j:
@@ -487,6 +492,8 @@ func (s *Service) resubmitLocked(j *job) (*job, submitOutcome) {
 	j.crashed = false
 	j.finished = time.Time{}
 	j.submitted = time.Now()
+	j.events = introspect.NewBroker(s.cfg.SSEKeepalive)
+	j.events.Publish(j.statusEvent())
 	s.reg.Counter("service.jobs.resubmitted").Inc()
 	s.store.Accepted(j.id, j.req)
 	s.cfg.Logger.Info("job resubmitted", "job", j.id, "queue_depth", len(s.queue))
@@ -614,33 +621,34 @@ func (s *Service) runJob(j *job) {
 	opts, schemes := j.req.options()
 	j.total = len(opts.Workloads) * len(schemes)
 	s.reg.Gauge("service.jobs.running").Observe(1)
-	s.broadcastLocked(j)
+	j.events.Publish(j.statusEvent())
 	s.mu.Unlock()
 	s.store.Started(j.id)
 	s.cfg.Logger.Info("job started", "job", j.id, "cells", j.total)
 
-	// lastBeat is the watchdog's heartbeat: cell completions always beat;
-	// with the watchdog armed, periodic in-cell progress beats too, so a
-	// single long-running cell is not mistaken for a stall.
+	// lastBeat is the watchdog's heartbeat: every grid notice beats. Cell
+	// completions always arrive; with the watchdog armed, in-cell
+	// snapshots arrive too, so a single long-running cell is not mistaken
+	// for a stall.
 	var lastBeat atomic.Int64
 	lastBeat.Store(time.Now().UnixNano())
 	opts.Jobs = s.cfg.Jobs
 	opts.Tables = s.cfg.Tables
-	opts.Progress = func(p sim.GridProgress) {
-		lastBeat.Store(time.Now().UnixNano())
-		// Serialized by the grid's callback mutex; only the fields we
-		// update here are touched concurrently with status reads, and
-		// those reads also hold s.mu.
-		s.mu.Lock()
-		j.done, j.total = p.Done, p.Total
-		s.broadcastLocked(j)
-		s.mu.Unlock()
-	}
+	opts.ProgressEvery = -1
 	if s.cfg.StallTimeout > 0 {
 		opts.ProgressEvery = heartbeatCycles
-		opts.CellProgress = func(_, _ string, _ sim.ProgressInfo) {
-			lastBeat.Store(time.Now().UnixNano())
+	}
+	opts.Progress = func(p sim.GridProgress) {
+		lastBeat.Store(time.Now().UnixNano())
+		if p.Cell != nil {
+			return
 		}
+		// Serialized by the grid; status reads of these fields hold s.mu
+		// too.
+		s.mu.Lock()
+		j.done, j.total = p.Done, p.Total
+		j.events.Publish(j.statusEvent())
+		s.mu.Unlock()
 	}
 
 	// The grid goroutine: panic-isolated (the grid isolates its own
@@ -781,7 +789,7 @@ func classify(ctx context.Context, err error, abandoned bool, deadline time.Dura
 }
 
 // finishLocked moves a job to a terminal state, publishes the terminal
-// event, releases subscribers, and enters the job into the completed
+// event, closes the job's stream, and enters the job into the completed
 // LRU (possibly evicting the oldest completed job entirely). It returns
 // the IDs of any evicted jobs so callers can journal the evictions.
 // Callers hold s.mu.
@@ -807,11 +815,8 @@ func (s *Service) finishLocked(j *job, state, errMsg string, report []byte, cras
 		s.cfg.Logger.Info("job finished", "job", j.id, "state", state,
 			"elapsed", j.finished.Sub(j.submitted))
 	}
-	s.broadcastLocked(j)
-	for _, ch := range j.subs {
-		close(ch)
-	}
-	j.subs = nil
+	j.events.Publish(j.statusEvent())
+	j.events.Close()
 	s.lru = append(s.lru, j.id)
 	var evicted []string
 	for len(s.lru) > s.cfg.CacheSize {
@@ -837,49 +842,6 @@ func (s *Service) touchLocked(id string) {
 			s.lru = append(s.lru[:i], s.lru[i+1:]...)
 			s.lru = append(s.lru, id)
 			return
-		}
-	}
-}
-
-// subscribe attaches an SSE subscriber to a job and returns its channel
-// plus the current status event (stamped with the job's latest event
-// ID, so reconnecting clients can tell whether they already saw it). A
-// terminal job returns a nil channel — the current event is the last
-// one. Channel sends never block: a subscriber that falls more than a
-// buffer behind loses intermediate progress events but always receives
-// the terminal one (the channel is drained by the handler until
-// closed).
-func (s *Service) subscribe(id string) (<-chan jobEvent, jobEvent, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	j, ok := s.jobs[id]
-	if !ok {
-		return nil, jobEvent{}, false
-	}
-	cur := jobEvent{id: j.seq, body: j.statusEvent()}
-	if j.state != StateQueued && j.state != StateRunning {
-		return nil, cur, true
-	}
-	ch := make(chan jobEvent, 64)
-	j.subs = append(j.subs, ch)
-	return ch, cur, true
-}
-
-// broadcastLocked pushes the job's current status event to every
-// subscriber, advancing the job's event sequence. Callers hold s.mu. A
-// full subscriber buffer drops the event — except terminal events,
-// which always land because the channel buffer (64) exceeds any backlog
-// a handler can leave while draining.
-func (s *Service) broadcastLocked(j *job) {
-	j.seq++
-	if len(j.subs) == 0 {
-		return
-	}
-	ev := jobEvent{id: j.seq, body: j.statusEvent()}
-	for _, ch := range j.subs {
-		select {
-		case ch <- ev:
-		default:
 		}
 	}
 }

@@ -307,8 +307,9 @@ func TestEndToEndRoundTrip(t *testing.T) {
 		t.Fatalf("cache hit changed the job ID: %q vs %q", hit.ID, sub.ID)
 	}
 
-	// The SSE stream of a terminal job delivers exactly the final status,
-	// id-stamped so reconnecting clients can resume with Last-Event-ID.
+	// The SSE stream of a terminal job replays its status log, ending
+	// with the final status, id-stamped so reconnecting clients can
+	// resume with Last-Event-ID.
 	events := getBody(t, ts.URL+"/jobs/"+sub.ID+"/events")
 	if !strings.HasPrefix(string(events), "id: ") || !strings.Contains(string(events), "\ndata: ") ||
 		!strings.Contains(string(events), `"state":"done"`) {

@@ -32,24 +32,21 @@ type Options struct {
 	// are stripped (GridReport.StripVolatile). Jobs=1 recovers fully
 	// sequential execution.
 	Jobs int
-	// Progress, when set, is invoked after each grid or study cell
-	// finishes (successfully or not); LifetimeSweep runs two rounds, each
-	// counting Done from 1. Invocations are serialized under the pool's
-	// callback mutex — the callback is never entered concurrently, so
+	// Progress, when set, receives the grid's notices: one completion
+	// notice after each grid or study cell finishes (successfully or not;
+	// LifetimeSweep runs two rounds, each counting Done from 1), and the
+	// running cells' in-cell snapshots every ProgressEvery cycles
+	// (GridProgress.Cell set). Invocations are serialized under the
+	// pool's mutex — the callback is never entered concurrently, so
 	// printProgress-style consumers need no locking of their own — but it
 	// runs on worker goroutines and must stay cheap; a slow callback
-	// stalls cell completion.
+	// stalls the cells.
 	Progress func(GridProgress)
-	// CellProgress, when set, receives each running cell's periodic
-	// ProgressInfo (see Config.Progress) tagged with the cell identity.
-	// Like Progress, invocations from all workers are serialized under
-	// one mutex, so the callback needs no synchronization of its own.
-	// The cadence is governed by ProgressEvery.
-	CellProgress func(workload, scheme string, info ProgressInfo)
-	// ProgressEvery is the per-cell progress period in cycles forwarded
-	// to each run's Config.ProgressEvery (0 = the run default). Only
-	// meaningful with CellProgress set.
-	ProgressEvery uint64
+	// ProgressEvery is the in-cell snapshot period in cycles, forwarded
+	// to each cell's Config.ProgressEvery: 0 = the run default, negative
+	// = no in-cell snapshots (completion notices only). Only meaningful
+	// with Progress set.
+	ProgressEvery int64
 	// FaultSeed, RetryMax, SpareRows and RemapPenaltyNs forward to every
 	// cell's Config under its knob convention (0 = default, negative =
 	// off); runs without a fault rate or decoder ignore them.
@@ -64,19 +61,23 @@ type Options struct {
 	TimelineCapacity int
 }
 
-// GridProgress reports one finished cell of a running grid or study.
+// GridProgress is one notice from a running grid or study: a cell
+// finished (Cell nil), or a running cell's in-cell snapshot (Cell set).
 // Delivery is serialized (see Options.Progress): consumers never observe
-// two callbacks at once, and Done is monotonically increasing across
-// one pool run's callbacks — though with Jobs > 1 the (Workload, Scheme)
-// completion order varies run to run. Study cells that share a
-// (Workload, Scheme) pair differ only in the study's swept knob.
+// two callbacks at once, and Done never decreases across one pool run's
+// callbacks — though with Jobs > 1 the (Workload, Scheme) completion
+// order varies run to run. Study cells that share a (Workload, Scheme)
+// pair differ only in the study's swept knob.
 type GridProgress struct {
 	// Done cells out of Total have finished (including failures).
 	Done, Total int
-	// Workload and Scheme identify the cell that just finished.
+	// Workload and Scheme identify the cell the notice is about.
 	Workload, Scheme string
-	// Failed marks a cell whose run returned an error.
+	// Failed marks a finished cell whose run returned an error.
 	Failed bool
+	// Cell is the running cell's snapshot on an in-cell notice, nil on a
+	// completion notice.
+	Cell *ProgressInfo `json:"cell,omitempty"`
 }
 
 func (o Options) workloads() []string {
@@ -193,9 +194,10 @@ func runVariants(ctx context.Context, opts Options, scheme string, variants ...f
 //
 // Determinism: each cell runs with its own metrics registry and memory
 // image and lands in its input slot regardless of completion order, so
-// the results are independent of Options.Jobs and of scheduling. User
-// callbacks (Options.Progress, Options.CellProgress) are serialized
-// under one mutex and never run concurrently with each other.
+// the results are independent of Options.Jobs and of scheduling. Every
+// Options.Progress notice, completion or in-cell, is delivered under the
+// pool's mutex, so notices never run concurrently and Done never
+// decreases.
 func runCells(ctx context.Context, opts Options, cfgs []Config) ([]*Result, error) {
 	results := make([]*Result, len(cfgs))
 	// A cell failure cancels runCtx so queued cells never dispatch; the
@@ -204,11 +206,10 @@ func runCells(ctx context.Context, opts Options, cfgs []Config) ([]*Result, erro
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	var (
-		mu         sync.Mutex // guards runErrs, done
-		progressMu sync.Mutex // serializes user callbacks (Progress, CellProgress)
-		runErrs    []error
-		done       int
-		wg         sync.WaitGroup
+		mu      sync.Mutex // guards runErrs, done; serializes Options.Progress
+		runErrs []error
+		done    int
+		wg      sync.WaitGroup
 	)
 	sem := make(chan struct{}, opts.jobs())
 	for i := range cfgs {
@@ -220,19 +221,19 @@ func runCells(ctx context.Context, opts Options, cfgs []Config) ([]*Result, erro
 		go func(i int) {
 			defer func() { <-sem; wg.Done() }()
 			cfg := cfgs[i]
-			if opts.CellProgress != nil {
-				cfg.ProgressEvery = opts.ProgressEvery
+			if opts.Progress != nil && opts.ProgressEvery >= 0 {
+				cfg.ProgressEvery = uint64(opts.ProgressEvery)
 				cfg.Progress = func(p ProgressInfo) {
-					progressMu.Lock()
-					defer progressMu.Unlock()
-					opts.CellProgress(cfg.Workload, cfg.Scheme, p)
+					mu.Lock()
+					defer mu.Unlock()
+					opts.Progress(GridProgress{Done: done, Total: len(cfgs), Workload: cfg.Workload, Scheme: cfg.Scheme, Cell: &p})
 				}
 			}
 			res, err := runCell(runCtx, cfg)
 			results[i] = res
 			mu.Lock()
+			defer mu.Unlock()
 			done++
-			n := done
 			if err != nil {
 				// Collect every cell's failure (cells are independent, so
 				// one bad workload name should not mask another's error);
@@ -241,11 +242,8 @@ func runCells(ctx context.Context, opts Options, cfgs []Config) ([]*Result, erro
 				runErrs = append(runErrs, fmt.Errorf("running %s/%s: %w", cfg.Workload, cfg.Scheme, err))
 				cancel()
 			}
-			mu.Unlock()
 			if opts.Progress != nil {
-				progressMu.Lock()
-				opts.Progress(GridProgress{Done: n, Total: len(cfgs), Workload: cfg.Workload, Scheme: cfg.Scheme, Failed: err != nil})
-				progressMu.Unlock()
+				opts.Progress(GridProgress{Done: done, Total: len(cfgs), Workload: cfg.Workload, Scheme: cfg.Scheme, Failed: err != nil})
 			}
 		}(i)
 	}

@@ -20,10 +20,13 @@ func parallelGridOptions(t *testing.T) Options {
 	}
 }
 
-func parallelGridReportJSON(t *testing.T, jobs int) []byte {
+func parallelGridReportJSON(t *testing.T, jobs int, edit func(*Options)) []byte {
 	t.Helper()
 	opts := parallelGridOptions(t)
 	opts.Jobs = jobs
+	if edit != nil {
+		edit(&opts)
+	}
 	g, err := RunGrid(opts, []string{SchemeBaseline, SchemeHybrid})
 	if err != nil {
 		t.Fatalf("RunGrid(jobs=%d): %v", jobs, err)
@@ -44,8 +47,8 @@ func parallelGridReportJSON(t *testing.T, jobs int) []byte {
 // byte-identical whether cells ran sequentially or on a worker pool,
 // once volatile wall-clock fields are stripped.
 func TestRunGridByteIdenticalAcrossJobs(t *testing.T) {
-	seq := parallelGridReportJSON(t, 1)
-	par := parallelGridReportJSON(t, 4)
+	seq := parallelGridReportJSON(t, 1, nil)
+	par := parallelGridReportJSON(t, 4, nil)
 	if !bytes.Equal(seq, par) {
 		sl, pl := strings.Split(string(seq), "\n"), strings.Split(string(par), "\n")
 		for i := range sl {
@@ -57,11 +60,12 @@ func TestRunGridByteIdenticalAcrossJobs(t *testing.T) {
 	}
 }
 
-// TestRunGridProgressSerialized runs a parallel grid with both callback
-// hooks mutating unsynchronized state: the grid's callback mutex is the
-// only thing keeping that safe, so the race detector fails this test if
-// serialization ever regresses. It also checks the Done counter is
-// monotonically increasing and complete.
+// TestRunGridProgressSerialized runs a parallel grid whose progress
+// callback, fed both completion notices and in-cell snapshots, mutates
+// unsynchronized state: the grid's mutex is the only thing keeping that
+// safe, so the race detector fails this test if serialization ever
+// regresses. It also checks the Done counter is monotonic and complete
+// and that every in-cell snapshot is tagged with its cell.
 func TestRunGridProgressSerialized(t *testing.T) {
 	opts := parallelGridOptions(t)
 	opts.Jobs = 4
@@ -69,17 +73,23 @@ func TestRunGridProgressSerialized(t *testing.T) {
 	var (
 		dones     []int // plain slice: appended from worker goroutines, safe only under the callback mutex
 		cellTicks int   // likewise
+		lastDone  int   //
 		lastTotal int   //
 	)
 	opts.Progress = func(p GridProgress) {
+		if p.Done < lastDone {
+			t.Errorf("Done went backwards: %d after %d", p.Done, lastDone)
+		}
+		lastDone = p.Done
+		if p.Cell != nil {
+			if p.Workload == "" || p.Scheme == "" {
+				t.Errorf("cell progress without identity: %q/%q", p.Workload, p.Scheme)
+			}
+			cellTicks++
+			return
+		}
 		dones = append(dones, p.Done)
 		lastTotal = p.Total
-	}
-	opts.CellProgress = func(workload, scheme string, info ProgressInfo) {
-		if workload == "" || scheme == "" {
-			t.Errorf("cell progress without identity: %q/%q", workload, scheme)
-		}
-		cellTicks++
 	}
 	g, err := RunGrid(opts, []string{SchemeBaseline, SchemeHybrid})
 	if err != nil {
@@ -94,7 +104,7 @@ func TestRunGridProgressSerialized(t *testing.T) {
 		}
 	}
 	if cellTicks == 0 {
-		t.Fatal("CellProgress never fired despite ProgressEvery being set")
+		t.Fatal("no in-cell snapshot despite ProgressEvery being set")
 	}
 	for _, w := range g.Workloads {
 		for _, s := range g.Schemes {
@@ -102,6 +112,25 @@ func TestRunGridProgressSerialized(t *testing.T) {
 				t.Fatalf("missing result for %s/%s", w, s)
 			}
 		}
+	}
+}
+
+// TestGridProgressNeutral pins that a progress callback only observes:
+// the same grid with completion notices and frequent in-cell snapshots
+// yields a stripped report byte-identical to the grid with no callback.
+// The service always installs one, so its reports depend on this.
+func TestGridProgressNeutral(t *testing.T) {
+	plain := parallelGridReportJSON(t, 2, nil)
+	calls := 0
+	watched := parallelGridReportJSON(t, 2, func(o *Options) {
+		o.ProgressEvery = 1_000
+		o.Progress = func(GridProgress) { calls++ }
+	})
+	if calls == 0 {
+		t.Fatal("progress callback never fired")
+	}
+	if !bytes.Equal(plain, watched) {
+		t.Fatal("installing a progress callback changed the grid report")
 	}
 }
 

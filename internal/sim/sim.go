@@ -158,8 +158,8 @@ type Config struct {
 	// wires a default printer to the same hook. The callback always runs
 	// on the run's single simulation goroutine, so it needs no internal
 	// locking against the run itself; under RunGridCtx each concurrent
-	// cell is its own run, and the grid-level hooks (Options.Progress,
-	// Options.CellProgress) add cross-cell serialization on top.
+	// cell is its own run, and the grid's Options.Progress adds
+	// cross-cell serialization on top.
 	Progress func(ProgressInfo) `json:"-"`
 	// ProgressEvery is the progress-callback period in cycles (0 = every
 	// 5M cycles, i.e. 1.25 simulated milliseconds).

@@ -108,9 +108,11 @@ func newSystem(ctx context.Context, cfg Config) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Per-bitline LRS profiling feeds only the BLP baseline's readout;
-	// every other scheme skips that per-changed-bit bookkeeping.
-	s.store.SetColumnTracking(cfg.Scheme == SchemeBLP)
+	// Per-bitline LRS profiling feeds only the BLP baseline's readout,
+	// whose factory switches it back on; every other scheme skips that
+	// per-changed-bit bookkeeping. Schemes set up the rest of their
+	// storage datapath the same way, at construction.
+	s.store.SetColumnTracking(false)
 	s.stats = &core.Stats{}
 	// Each run owns a private registry; RunGrid merges them afterward, so
 	// the observe paths stay lock-free (a run is single-goroutine).
@@ -326,7 +328,7 @@ func (s *System) buildEngine() {
 		if every == 0 {
 			every = 5_000_000
 		}
-		s.eng.SetProgress(every, p)
+		s.eng.SetObserver(every, p)
 	}
 	if s.cfg.TimelineInterval > 0 {
 		s.sampler = timeline.NewSampler(timeline.Config{
@@ -432,14 +434,6 @@ func (s *System) warm() error {
 		return nil
 	}
 	s.store.SetResident(cfg.ResidentLevel, uint64(cfg.Seed)+0x5eed)
-	// Under a shifting scheme, data resident from before the simulation
-	// window was stored through the same datapath.
-	switch cfg.Scheme {
-	case SchemeEst, SchemeHybrid:
-		s.store.SetResidentTransform(func(slot int, l bits.Line) bits.Line {
-			return bits.Shifted(l, slot)
-		})
-	}
 	return nil
 }
 

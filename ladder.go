@@ -80,8 +80,9 @@ type (
 	// ProgressInfo is the periodic run-progress snapshot delivered to
 	// Config.Progress.
 	ProgressInfo = sim.ProgressInfo
-	// GridProgress is the per-cell completion notice delivered to
-	// Options.Progress during RunGrid and the studies.
+	// GridProgress is the grid notice delivered to Options.Progress
+	// during RunGrid and the studies: a cell completion, or a running
+	// cell's in-cell snapshot (GridProgress.Cell set).
 	GridProgress = sim.GridProgress
 	// SchemeFactory builds one controller's private write-scheme instance;
 	// register one under a name with RegisterScheme.
