@@ -39,18 +39,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "tracegen: -o required (or -i to inspect)")
 		os.Exit(1)
 	}
-	prof, err := trace.Lookup(*workload)
-	if err != nil {
-		fatal(err)
-	}
-	// Bound the footprint the way the simulator does for the default
-	// geometry, so recorded traces replay against it.
-	geom := reram.DefaultGeometry()
-	regionPages := geom.Lines() / reram.BlocksPerRow / 2
-	if uint64(prof.WorkingSetPages) > regionPages {
-		prof.WorkingSetPages = int(regionPages)
-	}
-	gen, err := trace.NewGenerator(prof, *seed, 0)
+	gen, err := newGenerator(*workload, *seed)
 	if err != nil {
 		fatal(err)
 	}
@@ -69,6 +58,22 @@ func main() {
 	if *stats {
 		inspect(*out)
 	}
+}
+
+// newGenerator returns the workload's generator, its footprint bounded
+// the way the simulator bounds it for the default geometry, so recorded
+// traces replay against it.
+func newGenerator(workload string, seed int64) (*trace.Generator, error) {
+	prof, err := trace.Lookup(workload)
+	if err != nil {
+		return nil, err
+	}
+	geom := reram.DefaultGeometry()
+	regionPages := geom.Lines() / reram.BlocksPerRow / 2
+	if uint64(prof.WorkingSetPages) > regionPages {
+		prof.WorkingSetPages = int(regionPages)
+	}
+	return trace.NewGenerator(prof, seed, 0)
 }
 
 func inspect(path string) {

@@ -272,6 +272,47 @@ func TestResubmitAfterCancel(t *testing.T) {
 	}
 }
 
+// TestCancelResubmitKeepsOneQueueSlot: a job canceled while queued stays
+// in the queue channel until the executor skips it, so resubmitting it
+// must reuse that slot rather than take a second one. With a queue of
+// two, a distinct job still fits, /stats counts each pending job once,
+// and the executor receives each job exactly once.
+func TestCancelResubmitKeepsOneQueueSlot(t *testing.T) {
+	svc, ts := newIdleService(t, Config{QueueDepth: 2})
+	const bodyA = `{"workloads":["astar"],"schemes":["Baseline"]}`
+	_, a := postJob(t, ts.URL, bodyA)
+
+	req, _ := http.NewRequest("DELETE", ts.URL+"/jobs/"+a.ID, nil)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+
+	resp, re := postJob(t, ts.URL, bodyA)
+	if resp.StatusCode != http.StatusAccepted || re.Outcome != "resubmitted" {
+		t.Fatalf("resubmit after cancel = %d/%q, want 202/resubmitted", resp.StatusCode, re.Outcome)
+	}
+	resp, b := postJob(t, ts.URL, `{"workloads":["lbm"],"schemes":["Baseline"]}`)
+	if resp.StatusCode != http.StatusAccepted || b.Outcome != "accepted" {
+		t.Fatalf("second job with one job pending = %d/%q, want 202/accepted", resp.StatusCode, b.Outcome)
+	}
+	var st Stats
+	getJSON(t, ts.URL+"/stats", &st)
+	if st.QueueDepth != 2 {
+		t.Fatalf("queue_depth = %d with two jobs pending, want 2", st.QueueDepth)
+	}
+
+	// Drain the channel the way the executor would.
+	runs := map[string]int{}
+	for len(svc.queue) > 0 {
+		runs[(<-svc.queue).id]++
+	}
+	if len(runs) != 2 || runs[a.ID] != 1 || runs[b.ID] != 1 {
+		t.Fatalf("executor would receive %v, want each of %s and %s once", runs, a.ID, b.ID)
+	}
+}
+
 // TestReadyzDegradesOnStoreFailure: /readyz is 200 while healthy and
 // 503 once the durable store records a write failure — while /healthz
 // (liveness) and job serving stay up.

@@ -166,6 +166,10 @@ type job struct {
 	// abandonment) rather than the request: resubmitting re-runs it
 	// instead of serving the cached failure.
 	crashed bool
+	// inQueue marks a job sent to the queue channel and not yet taken by
+	// the executor. A job canceled while queued stays in the channel, so
+	// resubmitting it must not send it a second time.
+	inQueue bool
 	cancel  context.CancelFunc
 	// events is the job's status log: one full Status document per state
 	// change or cell completion, closed after the terminal one.
@@ -247,19 +251,15 @@ func (s *Service) restore(rec *Recovery) {
 	for _, rj := range rec.Jobs {
 		j := s.newJob(rj.ID, rj.Req)
 		j.crashed = rj.Crashed
-		if rj.State == StateQueued {
-			select {
-			case s.queue <- j:
-			default:
-				// A journal holding more queued jobs than the queue cap
-				// (the cap shrank across the restart): fail the overflow
-				// as crashed so it stays visible and resubmittable.
-				rj.State = StateFailed
-				rj.ErrMsg = "failed by crash: recovered queue overflowed the configured queue depth"
-				j.crashed = true
-				rec.Requeued--
-				rec.FailedByCrash++
-			}
+		if rj.State == StateQueued && !s.enqueueLocked(j) {
+			// A journal holding more queued jobs than the queue cap (the
+			// cap shrank across the restart): fail the overflow as
+			// crashed so it stays visible and resubmittable.
+			rj.State = StateFailed
+			rj.ErrMsg = "failed by crash: recovered queue overflowed the configured queue depth"
+			j.crashed = true
+			rec.Requeued--
+			rec.FailedByCrash++
 		}
 		s.jobs[j.id] = j
 		s.order = append(s.order, j.id)
@@ -448,9 +448,7 @@ func (s *Service) submit(req Request) (*job, submitOutcome) {
 		}
 	}
 	j := s.newJob(id, req)
-	select {
-	case s.queue <- j:
-	default:
+	if !s.enqueueLocked(j) {
 		s.reg.Counter("service.jobs.rejected").Inc()
 		return nil, outcomeRejected
 	}
@@ -462,6 +460,23 @@ func (s *Service) submit(req Request) (*job, submitOutcome) {
 	s.store.Accepted(id, req)
 	s.cfg.Logger.Info("job queued", "job", id, "queue_depth", len(s.queue))
 	return j, outcomeNew
+}
+
+// enqueueLocked hands j to the executor, reporting false when the queue
+// is full. A job still in the queue channel (canceled while queued, not
+// yet dequeued) keeps its one slot instead of taking a second. Callers
+// hold s.mu.
+func (s *Service) enqueueLocked(j *job) bool {
+	if j.inQueue {
+		return true
+	}
+	select {
+	case s.queue <- j:
+		j.inQueue = true
+		return true
+	default:
+		return false
+	}
 }
 
 // newJob returns a queued job with an open event stream.
@@ -478,9 +493,7 @@ func (s *Service) newJob(id string, req Request) *job {
 // queued status (a client resuming with an ID from the old stream
 // replays the new one from the start). Callers hold s.mu.
 func (s *Service) resubmitLocked(j *job) (*job, submitOutcome) {
-	select {
-	case s.queue <- j:
-	default:
+	if !s.enqueueLocked(j) {
 		s.reg.Counter("service.jobs.rejected").Inc()
 		return nil, outcomeRejected
 	}
@@ -566,6 +579,7 @@ func (s *Service) drainOnClose() {
 		select {
 		case j := <-s.queue:
 			s.mu.Lock()
+			j.inQueue = false
 			if j.state == StateQueued {
 				evicted := s.finishLocked(j, StateCanceled, "service shut down", nil, false)
 				for _, ev := range evicted {
@@ -611,6 +625,7 @@ func (s *Service) runJob(j *job) {
 	}
 
 	s.mu.Lock()
+	j.inQueue = false
 	if j.state != StateQueued { // canceled while waiting
 		s.mu.Unlock()
 		return

@@ -25,7 +25,10 @@ const BlocksPerPage = 64
 
 // Generator produces a deterministic access stream for one benchmark.
 type Generator struct {
-	prof     Profile
+	prof Profile
+	// src is the stream rand.NewSource(seed) gives; rng draws the
+	// access shape from it, and synthesize reads it directly.
+	src      *source
 	rng      *rand.Rand
 	seed     int64
 	basePage uint64
@@ -34,6 +37,10 @@ type Generator struct {
 	curSlot  int
 	meanGap  float64
 	writeP   float64
+	// Written-data thresholds (see threshold): a line is compressible
+	// below cComp, and a bit of a hot or cold byte is set below cHot or
+	// cCold.
+	cComp, cHot, cCold uint64
 	// Writeback stream state: the LLC evicts a page's dirty lines in
 	// bursts, so writes walk their own page cursor.
 	wPage  uint64
@@ -53,14 +60,27 @@ func NewGenerator(p Profile, seed int64, basePage uint64) (*Generator, error) {
 	if hot == 0 {
 		hot = 1
 	}
+	// Hot bytes saturate around 0.55 — real dense bytes (FP exponents,
+	// pointer prefixes) carry 3–5 ones, not 7–8.
+	d, c := p.OnesDensity, p.Clustering
+	dHot := d + (0.55-d)*c
+	if dHot < d {
+		dHot = d
+	}
+	dCold := d * (1 - 0.9*c)
+	src := newSource(seed)
 	return &Generator{
 		prof:     p,
-		rng:      rand.New(rand.NewSource(seed)),
+		src:      src,
+		rng:      rand.New(src),
 		seed:     seed,
 		basePage: basePage,
 		hotPages: hot,
 		meanGap:  1000 / (p.RPKI + p.WPKI),
 		writeP:   p.WPKI / (p.RPKI + p.WPKI),
+		cComp:    threshold(p.Compressibility),
+		cHot:     threshold(dHot),
+		cCold:    threshold(dCold),
 	}, nil
 }
 
@@ -126,42 +146,27 @@ func (g *Generator) nextWriteLine() uint64 {
 // phenomenon Section 4.1's shifting exploits).
 func (g *Generator) synthesize(page uint64) bits.Line {
 	var l bits.Line
-	if g.rng.Float64() < g.prof.Compressibility {
+	if g.src.bit(g.cComp) == 1 {
 		// FPC-friendly content: sparse small integers, zero runs.
 		for w := 0; w < bits.LineSize/4; w++ {
-			switch g.rng.Intn(4) {
+			switch g.src.intn(4) {
 			case 0:
-				l[w*4] = byte(g.rng.Intn(16)) // 4-bit value
+				l[w*4] = byte(g.src.intn(16)) // 4-bit value
 			case 1:
-				l[w*4] = byte(g.rng.Intn(256)) // one low byte
+				l[w*4] = byte(g.src.intn(256)) // one low byte
 			default:
 				// zero word
 			}
 		}
 		return l
 	}
-	d := g.prof.OnesDensity
-	c := g.prof.Clustering
-	// Hot bytes saturate around 0.55 — real dense bytes (FP exponents,
-	// pointer prefixes) carry 3–5 ones, not 7–8.
-	dHot := d + (0.55-d)*c
-	if dHot < d {
-		dHot = d
-	}
-	dCold := d * (1 - 0.9*c)
 	hot := pageHotPositions(page, g.seed)
-	for j := 0; j < bits.LineSize; j++ {
-		density := dCold
+	for j := range l {
+		c := g.cCold
 		if hot[j] {
-			density = dHot
+			c = g.cHot
 		}
-		var b byte
-		for k := 0; k < 8; k++ {
-			if g.rng.Float64() < density {
-				b |= 1 << uint(k)
-			}
-		}
-		l[j] = b
+		l[j] = g.src.byteBits(c)
 	}
 	return l
 }
