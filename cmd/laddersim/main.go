@@ -165,12 +165,9 @@ func main() {
 			_ = srv.Shutdown(sctx)
 		}()
 		fmt.Printf("introspection       http://%s/ (pprof under /debug/pprof/)\n", srv.Addr())
-		cfg.ProgressDetail = true
-		if cfg.ProgressEvery == 0 {
-			// Snapshot often enough that short runs are observable too; the
-			// default 5M-cycle period outlives many of them.
-			cfg.ProgressEvery = 250_000
-		}
+		// Snapshot often enough that short runs are observable too; the
+		// default 5M-cycle period outlives many of them.
+		cfg.ProgressEvery = 250_000
 		// The latest progress snapshot doubles as the Prometheus scrape
 		// source: /metrics/prom serves it labeled with the run identity.
 		var promMu sync.Mutex
@@ -181,33 +178,13 @@ func main() {
 			defer promMu.Unlock()
 			return promSnap, runLabel, nil
 		}))
-		cfg.Progress = func(p ladder.ProgressInfo) {
-			srv.Publish("progress", p)
-			if p.Metrics != nil {
-				srv.Publish("metrics", p.Metrics)
-				promMu.Lock()
-				promSnap = *p.Metrics
-				promMu.Unlock()
-			}
-			if p.Spans != nil {
-				srv.Publish("spans", p.Spans)
-			}
-		}
+		// Live timeline: every closed epoch appends to the /timeline
+		// document and streams to /timeline/events subscribers as SSE.
+		broker := introspect.NewBroker(0)
+		var tlMu sync.Mutex
+		var epochs []ladder.TimelineEpoch
 		if *timelineInterval > 0 {
-			// Live timeline: every closed epoch appends to the /timeline
-			// document and streams to /timeline/events subscribers as SSE.
-			broker := introspect.NewBroker(0)
 			srv.Handle("GET /timeline/events", broker)
-			var tlMu sync.Mutex
-			var epochs []ladder.TimelineEpoch
-			cfg.TimelineOnEpoch = func(e ladder.TimelineEpoch) {
-				tlMu.Lock()
-				epochs = append(epochs, e)
-				tlMu.Unlock()
-				if ev, err := json.Marshal(e); err == nil {
-					broker.Publish(ev)
-				}
-			}
 			srv.PublishFunc("timeline", func() any {
 				tlMu.Lock()
 				defer tlMu.Unlock()
@@ -218,6 +195,25 @@ func main() {
 					Epochs:            append([]ladder.TimelineEpoch(nil), epochs...),
 				}
 			})
+		}
+		cfg.Observe = func(e ladder.Event) {
+			if p := e.Progress; p != nil {
+				srv.Publish("progress", p)
+				srv.Publish("metrics", p.Metrics)
+				promMu.Lock()
+				promSnap = *p.Metrics
+				promMu.Unlock()
+				if p.Spans != nil {
+					srv.Publish("spans", p.Spans)
+				}
+				return
+			}
+			tlMu.Lock()
+			epochs = append(epochs, *e.Epoch)
+			tlMu.Unlock()
+			if ev, err := json.Marshal(e.Epoch); err == nil {
+				broker.Publish(ev)
+			}
 		}
 	}
 
@@ -253,14 +249,14 @@ func main() {
 			100*float64(st.FNWCanceled)/float64(st.FNWUnits))
 	}
 	fmt.Printf("dynamic energy      read %.1f nJ, write %.1f nJ\n", res.ReadNJ, res.WriteNJ)
-	if res.GapMoves > 0 {
-		fmt.Printf("VWL gap moves       %d\n", res.GapMoves)
+	rep := ladder.NewReport(res)
+	if rep.GapMoves > 0 {
+		fmt.Printf("VWL gap moves       %d\n", rep.GapMoves)
 	}
 	if *verify {
 		fmt.Println("verification        PASS (all written lines decode to their logical content)")
 	}
 
-	rep := ladder.NewReport(res)
 	rl := rep.ResetLatency
 	fmt.Printf("RESET latency       n=%d mean %.1f p50 %.1f p95 %.1f p99 %.1f max %.1f ns\n",
 		rl.Count, rl.MeanNs, rl.P50Ns, rl.P95Ns, rl.P99Ns, rl.MaxNs)

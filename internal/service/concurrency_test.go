@@ -80,8 +80,8 @@ func TestQueueBackpressureUnderConcurrentChurn(t *testing.T) {
 	// state and the queue never exceeded its bound.
 	svc.mu.Lock()
 	defer svc.mu.Unlock()
-	if len(svc.queue) > 2 {
-		t.Fatalf("queue depth %d exceeded its bound 2", len(svc.queue))
+	if len(svc.pending) > 2 {
+		t.Fatalf("queue depth %d exceeded its bound 2", len(svc.pending))
 	}
 	for id, j := range svc.jobs {
 		switch j.state {

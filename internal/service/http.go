@@ -237,7 +237,7 @@ func (s *Service) handleReadyz(w http.ResponseWriter, r *http.Request) {
 // chart each sweep's cell completion individually).
 func (s *Service) handleProm(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
-	s.reg.Gauge("service.queue.depth").Observe(float64(len(s.queue)))
+	s.reg.Gauge("service.queue.depth").Observe(float64(len(s.pending)))
 	s.reg.Gauge("service.jobs.running").Observe(float64(s.running))
 	snap := s.reg.Snapshot()
 	var extra []metrics.PromSample

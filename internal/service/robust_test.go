@@ -272,22 +272,15 @@ func TestResubmitAfterCancel(t *testing.T) {
 	}
 }
 
-// TestCancelResubmitKeepsOneQueueSlot: a job canceled while queued stays
-// in the queue channel until the executor skips it, so resubmitting it
-// must reuse that slot rather than take a second one. With a queue of
-// two, a distinct job still fits, /stats counts each pending job once,
-// and the executor receives each job exactly once.
+// TestCancelResubmitKeepsOneQueueSlot: resubmitting a job canceled
+// while queued must take one queue slot, not two. With a queue of two, a
+// distinct job still fits, /stats counts each pending job once, and the
+// executor receives each job exactly once.
 func TestCancelResubmitKeepsOneQueueSlot(t *testing.T) {
 	svc, ts := newIdleService(t, Config{QueueDepth: 2})
 	const bodyA = `{"workloads":["astar"],"schemes":["Baseline"]}`
 	_, a := postJob(t, ts.URL, bodyA)
-
-	req, _ := http.NewRequest("DELETE", ts.URL+"/jobs/"+a.ID, nil)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
+	cancelJobHTTP(t, ts.URL, a.ID)
 
 	resp, re := postJob(t, ts.URL, bodyA)
 	if resp.StatusCode != http.StatusAccepted || re.Outcome != "resubmitted" {
@@ -303,13 +296,50 @@ func TestCancelResubmitKeepsOneQueueSlot(t *testing.T) {
 		t.Fatalf("queue_depth = %d with two jobs pending, want 2", st.QueueDepth)
 	}
 
-	// Drain the channel the way the executor would.
+	// Drain the queue the way the executor would.
 	runs := map[string]int{}
-	for len(svc.queue) > 0 {
-		runs[(<-svc.queue).id]++
+	for j := svc.dequeue(); j != nil; j = svc.dequeue() {
+		runs[j.id]++
 	}
 	if len(runs) != 2 || runs[a.ID] != 1 || runs[b.ID] != 1 {
 		t.Fatalf("executor would receive %v, want each of %s and %s once", runs, a.ID, b.ID)
+	}
+}
+
+// TestCancelQueuedJobFreesSlot: a job canceled while queued gives its
+// queue slot back at once, so admission counts pending jobs, not jobs
+// the executor has yet to skip. With a queue of two and an idle
+// executor, cancel A, then B and C both fit and /stats reads two.
+func TestCancelQueuedJobFreesSlot(t *testing.T) {
+	_, ts := newIdleService(t, Config{QueueDepth: 2})
+	_, a := postJob(t, ts.URL, `{"workloads":["astar"],"schemes":["Baseline"]}`)
+	cancelJobHTTP(t, ts.URL, a.ID)
+	for _, body := range []string{
+		`{"workloads":["lbm"],"schemes":["Baseline"]}`,
+		`{"workloads":["mcf"],"schemes":["Baseline"]}`,
+	} {
+		if resp, sub := postJob(t, ts.URL, body); resp.StatusCode != http.StatusAccepted || sub.Outcome != "accepted" {
+			t.Fatalf("submit %s with one job pending = %d/%q, want 202/accepted", body, resp.StatusCode, sub.Outcome)
+		}
+	}
+	var st Stats
+	getJSON(t, ts.URL+"/stats", &st)
+	if st.QueueDepth != 2 || st.Rejected != 0 {
+		t.Fatalf("stats = queue_depth %d rejected %d, want 2/0", st.QueueDepth, st.Rejected)
+	}
+}
+
+// cancelJobHTTP cancels a job through DELETE /jobs/{id}.
+func cancelJobHTTP(t *testing.T, url, id string) {
+	t.Helper()
+	req, _ := http.NewRequest(http.MethodDelete, url+"/jobs/"+id, nil)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("cancel %s = %d, want 202", id, resp.StatusCode)
 	}
 }
 

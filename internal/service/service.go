@@ -56,6 +56,7 @@ import (
 	"log/slog"
 	"net/http"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -166,10 +167,6 @@ type job struct {
 	// abandonment) rather than the request: resubmitting re-runs it
 	// instead of serving the cached failure.
 	crashed bool
-	// inQueue marks a job sent to the queue channel and not yet taken by
-	// the executor. A job canceled while queued stays in the channel, so
-	// resubmitting it must not send it a second time.
-	inQueue bool
 	cancel  context.CancelFunc
 	// events is the job's status log: one full Status document per state
 	// change or cell completion, closed after the terminal one.
@@ -189,10 +186,14 @@ type Service struct {
 	// abandonGraceDefault in New).
 	abandonGrace time.Duration
 
-	mu      sync.Mutex
-	jobs    map[string]*job
-	order   []string // submission order, for GET /jobs
-	queue   chan *job
+	mu    sync.Mutex
+	jobs  map[string]*job
+	order []string // submission order, for GET /jobs
+	// pending is the FIFO of queued jobs, bounded by Config.QueueDepth;
+	// a job canceled while queued leaves it at once. wake (one slot)
+	// tells an idle executor that pending gained a job.
+	pending []*job
+	wake    chan struct{}
 	lru     []string // completed job IDs, least recently used first
 	closed  bool
 	running int
@@ -219,7 +220,7 @@ func New(cfg Config) (*Service, error) {
 		cfg:          cfg,
 		abandonGrace: abandonGraceDefault,
 		jobs:         make(map[string]*job),
-		queue:        make(chan *job, cfg.QueueDepth),
+		wake:         make(chan struct{}, 1),
 		reg:          metrics.NewRegistry(),
 		baseCtx:      ctx,
 		stop:         cancel,
@@ -334,7 +335,7 @@ func (s *Service) Close() {
 func (s *Service) MetricsSnapshot() metrics.Snapshot {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.reg.Gauge("service.queue.depth").Observe(float64(len(s.queue)))
+	s.reg.Gauge("service.queue.depth").Observe(float64(len(s.pending)))
 	s.reg.Gauge("service.jobs.running").Observe(float64(s.running))
 	return s.reg.Snapshot()
 }
@@ -376,7 +377,7 @@ func (s *Service) StatsSnapshot() Stats {
 	defer s.mu.Unlock()
 	c := func(name string) uint64 { return s.reg.Counter(name).Value() }
 	return Stats{
-		QueueDepth: len(s.queue),
+		QueueDepth: len(s.pending),
 		QueueCap:   s.cfg.QueueDepth,
 		Running:    s.running,
 		Jobs:       len(s.order),
@@ -456,27 +457,25 @@ func (s *Service) submit(req Request) (*job, submitOutcome) {
 	s.jobs[id] = j
 	s.order = append(s.order, id)
 	s.reg.Counter("service.jobs.submitted").Inc()
-	s.reg.Gauge("service.queue.depth").Observe(float64(len(s.queue)))
+	s.reg.Gauge("service.queue.depth").Observe(float64(len(s.pending)))
 	s.store.Accepted(id, req)
-	s.cfg.Logger.Info("job queued", "job", id, "queue_depth", len(s.queue))
+	s.cfg.Logger.Info("job queued", "job", id, "queue_depth", len(s.pending))
 	return j, outcomeNew
 }
 
-// enqueueLocked hands j to the executor, reporting false when the queue
-// is full. A job still in the queue channel (canceled while queued, not
-// yet dequeued) keeps its one slot instead of taking a second. Callers
-// hold s.mu.
+// enqueueLocked appends j to the pending FIFO and wakes the executor,
+// reporting false when Config.QueueDepth jobs are already pending.
+// Callers hold s.mu.
 func (s *Service) enqueueLocked(j *job) bool {
-	if j.inQueue {
-		return true
-	}
-	select {
-	case s.queue <- j:
-		j.inQueue = true
-		return true
-	default:
+	if len(s.pending) >= s.cfg.QueueDepth {
 		return false
 	}
+	s.pending = append(s.pending, j)
+	select {
+	case s.wake <- struct{}{}:
+	default: // a wake-up is already pending
+	}
+	return true
 }
 
 // newJob returns a queued job with an open event stream.
@@ -509,7 +508,7 @@ func (s *Service) resubmitLocked(j *job) (*job, submitOutcome) {
 	j.events.Publish(j.statusEvent())
 	s.reg.Counter("service.jobs.resubmitted").Inc()
 	s.store.Accepted(j.id, j.req)
-	s.cfg.Logger.Info("job resubmitted", "job", j.id, "queue_depth", len(s.queue))
+	s.cfg.Logger.Info("job resubmitted", "job", j.id, "queue_depth", len(s.pending))
 	return j, outcomeResubmitted
 }
 
@@ -524,10 +523,10 @@ func (s *Service) dropLRULocked(id string) {
 	}
 }
 
-// cancelJob cancels a job by ID. Queued jobs transition directly to
-// canceled (the executor skips them); running jobs get their context
-// canceled and transition when the grid unwinds. Completed jobs are
-// left as they are (false, "already finished").
+// cancelJob cancels a job by ID. Queued jobs leave the pending FIFO,
+// freeing their slot, and transition directly to canceled; running jobs
+// get their context canceled and transition when the grid unwinds.
+// Completed jobs are left as they are (false, "already finished").
 func (s *Service) cancelJob(id string) (ok bool, reason string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -537,6 +536,7 @@ func (s *Service) cancelJob(id string) (ok bool, reason string) {
 	}
 	switch j.state {
 	case StateQueued:
+		s.pending = slices.DeleteFunc(s.pending, func(p *job) bool { return p == j })
 		evicted := s.finishLocked(j, StateCanceled, "canceled before execution", nil, false)
 		// Journal ordering matters (a canceled record must follow the
 		// accepted one and precede any re-accept), so the store calls stay
@@ -556,41 +556,48 @@ func (s *Service) cancelJob(id string) (ok bool, reason string) {
 	}
 }
 
-// executor drains the queue one job at a time, in submission order.
+// executor runs pending jobs one at a time, in submission order, until
+// Close.
 func (s *Service) executor() {
 	defer s.wg.Done()
-	for {
+	for s.baseCtx.Err() == nil {
+		if j := s.dequeue(); j != nil {
+			s.runJob(j)
+			continue
+		}
 		select {
 		case <-s.baseCtx.Done():
-			s.drainOnClose()
-			return
-		case j := <-s.queue:
-			s.runJob(j)
+		case <-s.wake:
 		}
 	}
+	s.drainOnClose()
 }
 
-// drainOnClose marks every still-queued job canceled after Close. The
+// dequeue pops the oldest pending job, or returns nil when none is.
+func (s *Service) dequeue() *job {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if len(s.pending) == 0 {
+		return nil
+	}
+	j := s.pending[0]
+	s.pending = s.pending[1:]
+	return j
+}
+
+// drainOnClose marks every still-pending job canceled after Close. The
 // cancellations are deliberately not journaled: the jobs' accepted
 // records survive in the journal, so a durable service re-queues them
 // on the next boot instead of making clients resubmit.
 func (s *Service) drainOnClose() {
-	for {
-		select {
-		case j := <-s.queue:
-			s.mu.Lock()
-			j.inQueue = false
-			if j.state == StateQueued {
-				evicted := s.finishLocked(j, StateCanceled, "service shut down", nil, false)
-				for _, ev := range evicted {
-					s.store.Evicted(ev)
-				}
-			}
-			s.mu.Unlock()
-		default:
-			return
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, j := range s.pending {
+		for _, ev := range s.finishLocked(j, StateCanceled, "service shut down", nil, false) {
+			s.store.Evicted(ev)
 		}
 	}
+	s.pending = nil
 }
 
 // Structured cancellation causes, attached via context.WithCancelCause
@@ -625,8 +632,7 @@ func (s *Service) runJob(j *job) {
 	}
 
 	s.mu.Lock()
-	j.inQueue = false
-	if j.state != StateQueued { // canceled while waiting
+	if j.state != StateQueued { // canceled between dequeue and here
 		s.mu.Unlock()
 		return
 	}

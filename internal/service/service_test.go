@@ -67,7 +67,7 @@ func newIdleService(t *testing.T, cfg Config) (*Service, *httptest.Server) {
 		cfg:          cfg,
 		abandonGrace: abandonGraceDefault,
 		jobs:         make(map[string]*job),
-		queue:        make(chan *job, cfg.QueueDepth),
+		wake:         make(chan struct{}, 1),
 		reg:          metrics.NewRegistry(),
 		baseCtx:      ctx,
 		stop:         cancel,

@@ -38,27 +38,24 @@ type Options struct {
 	// running cells' in-cell snapshots every ProgressEvery cycles
 	// (GridProgress.Cell set). Invocations are serialized under the
 	// pool's mutex — the callback is never entered concurrently, so
-	// printProgress-style consumers need no locking of their own — but it
-	// runs on worker goroutines and must stay cheap; a slow callback
-	// stalls the cells.
+	// consumers need no locking of their own — but it runs on worker
+	// goroutines and must stay cheap; a slow callback stalls the cells.
 	Progress func(GridProgress)
-	// ProgressEvery is the in-cell snapshot period in cycles, forwarded
-	// to each cell's Config.ProgressEvery: 0 = the run default, negative
-	// = no in-cell snapshots (completion notices only). Only meaningful
+	// ProgressEvery is the in-cell snapshot period, forwarded unchanged
+	// to each cell's Config.ProgressEvery (0 = the run default, negative
+	// = no in-cell snapshots, completion notices only). Only meaningful
 	// with Progress set.
 	ProgressEvery int64
-	// FaultSeed, RetryMax, SpareRows and RemapPenaltyNs forward to every
-	// cell's Config under its knob convention (0 = default, negative =
-	// off); runs without a fault rate or decoder ignore them.
-	FaultSeed      int64
-	RetryMax       int
-	SpareRows      int
-	RemapPenaltyNs float64
-	// TimelineInterval and TimelineCapacity forward the timeline sampler
-	// configuration to every cell (see Config.TimelineInterval); the grid
-	// report merges the per-cell series into one grid-level timeline.
+	// FaultSeed, RetryMax and SpareRows forward to every cell's Config
+	// under its knob convention (0 = default, negative = off); runs
+	// without a fault rate or decoder ignore them.
+	FaultSeed int64
+	RetryMax  int
+	SpareRows int
+	// TimelineInterval forwards the timeline sampler period to every
+	// cell (see Config.TimelineInterval); the grid report merges the
+	// per-cell series into one grid-level timeline.
 	TimelineInterval uint64
-	TimelineCapacity int
 }
 
 // GridProgress is one notice from a running grid or study: a cell
@@ -94,12 +91,11 @@ func (o Options) config(workload, scheme string) Config {
 		InstrPerCore:     o.Instr,
 		Seed:             o.Seed,
 		Tables:           o.Tables,
+		ProgressEvery:    o.ProgressEvery,
 		FaultSeed:        o.FaultSeed,
 		RetryMax:         o.RetryMax,
 		SpareRows:        o.SpareRows,
-		RemapPenaltyNs:   o.RemapPenaltyNs,
 		TimelineInterval: o.TimelineInterval,
-		TimelineCapacity: o.TimelineCapacity,
 	}
 }
 
@@ -221,12 +217,14 @@ func runCells(ctx context.Context, opts Options, cfgs []Config) ([]*Result, erro
 		go func(i int) {
 			defer func() { <-sem; wg.Done() }()
 			cfg := cfgs[i]
-			if opts.Progress != nil && opts.ProgressEvery >= 0 {
-				cfg.ProgressEvery = uint64(opts.ProgressEvery)
-				cfg.Progress = func(p ProgressInfo) {
+			if opts.Progress != nil {
+				cfg.Observe = func(e Event) {
+					if e.Progress == nil {
+						return
+					}
 					mu.Lock()
 					defer mu.Unlock()
-					opts.Progress(GridProgress{Done: done, Total: len(cfgs), Workload: cfg.Workload, Scheme: cfg.Scheme, Cell: &p})
+					opts.Progress(GridProgress{Done: done, Total: len(cfgs), Workload: cfg.Workload, Scheme: cfg.Scheme, Cell: e.Progress})
 				}
 			}
 			res, err := runCell(runCtx, cfg)
@@ -645,8 +643,8 @@ type LifetimeStudy struct {
 //
 //	(baseMax / effMax) / overhead · (1 + spares·banks/touchedRows)
 //
-// Study cells run the default geometry and 256-row VWL segments: Options
-// sets neither.
+// Study cells run the default geometry (Options does not set one) and
+// vwlSegmentRows-row segments.
 func relativeLifetime(base, res *Result, spares int) float64 {
 	touched := float64(res.TouchedRows)
 	total := float64(res.TotalStoreWrites)
@@ -654,11 +652,8 @@ func relativeLifetime(base, res *Result, spares int) float64 {
 		return 1
 	}
 	geom := reram.DefaultGeometry()
-	segments := float64(geom.Rows()/256) + 1
-	gapMoves := 0.0
-	if res.Remap != nil {
-		gapMoves = float64(res.Remap.GapMoves)
-	}
+	segments := float64(geom.Rows()/vwlSegmentRows) + 1
+	gapMoves := float64(res.gapMoves())
 	rotations := gapMoves / (segments + 1)
 	leveled := rotations / (rotations + 1)
 	avgRow := total / touched
@@ -791,7 +786,7 @@ func WearLevelingImpact(opts Options, scheme string) ([]Row, error) {
 		}
 		return map[string]float64{
 			"ipc-ratio": ratio,
-			"gap-moves": float64(wl.GapMoves),
+			"gap-moves": float64(wl.gapMoves()),
 		}
 	})
 }

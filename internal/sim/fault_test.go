@@ -90,6 +90,7 @@ func TestKnobConvention(t *testing.T) {
 	resolve := func(v int) Config {
 		cfg := testConfig(t, "astar", SchemeBaseline)
 		cfg.RetryMax, cfg.SpareRows, cfg.RemapPenaltyNs, cfg.HybridLowRows = v, v, float64(v), v
+		cfg.ProgressEvery = int64(v)
 		if err := cfg.applyDefaults(); err != nil {
 			t.Fatal(err)
 		}
@@ -99,15 +100,16 @@ func TestKnobConvention(t *testing.T) {
 		in                     int
 		retry, spares, lowRows int
 		penalty                float64
+		every                  int64
 	}{
-		{0, fault.DefaultRetryMax, remap.DefaultSpareRows, core.DefaultLowPrecisionRows, remap.DefaultPenaltyNs},
-		{-1, 0, 0, 0, 0},
-		{5, 5, 5, 5, 5},
+		{0, fault.DefaultRetryMax, remap.DefaultSpareRows, core.DefaultLowPrecisionRows, remap.DefaultPenaltyNs, defaultProgressEvery},
+		{-1, 0, 0, 0, 0, 0},
+		{5, 5, 5, 5, 5, 5},
 	} {
 		c := resolve(tc.in)
-		if c.RetryMax != tc.retry || c.SpareRows != tc.spares || c.HybridLowRows != tc.lowRows || c.RemapPenaltyNs != tc.penalty {
-			t.Errorf("knobs set to %d resolved to retry %d, spares %d, low rows %d, penalty %v; want %d, %d, %d, %v",
-				tc.in, c.RetryMax, c.SpareRows, c.HybridLowRows, c.RemapPenaltyNs, tc.retry, tc.spares, tc.lowRows, tc.penalty)
+		if c.RetryMax != tc.retry || c.SpareRows != tc.spares || c.HybridLowRows != tc.lowRows || c.RemapPenaltyNs != tc.penalty || c.ProgressEvery != tc.every {
+			t.Errorf("knobs set to %d resolved to retry %d, spares %d, low rows %d, penalty %v, progress every %d; want %d, %d, %d, %v, %d",
+				tc.in, c.RetryMax, c.SpareRows, c.HybridLowRows, c.RemapPenaltyNs, c.ProgressEvery, tc.retry, tc.spares, tc.lowRows, tc.penalty, tc.every)
 		}
 	}
 

@@ -74,17 +74,22 @@ func TestTracingOffByDefault(t *testing.T) {
 	}
 }
 
-// TestProgressDetail checks the periodic progress snapshot: wall clock
-// and instruction rate always, frozen metrics and recent spans when
-// ProgressDetail asks for them (the introspection server's feed).
-func TestProgressDetail(t *testing.T) {
+// TestObserveProgress checks the periodic progress snapshot delivered to
+// Config.Observe: wall clock, instruction rate, frozen metrics and
+// recent spans (the introspection server's feed). With the timeline on
+// too, the one stream carries both event kinds, each event exactly one.
+func TestObserveProgress(t *testing.T) {
 	cfg := testConfig(t, "lbm", SchemeHybrid)
 	cfg.TraceSample = 1
-	cfg.ProgressDetail = true
 	cfg.ProgressEvery = 20_000
 	var last ProgressInfo
 	calls := 0
-	cfg.Progress = func(p ProgressInfo) { calls++; last = p }
+	cfg.Observe = func(e Event) {
+		if e.Progress != nil {
+			calls++
+			last = *e.Progress
+		}
+	}
 	if _, err := Run(cfg); err != nil {
 		t.Fatal(err)
 	}
@@ -98,14 +103,39 @@ func TestProgressDetail(t *testing.T) {
 		t.Errorf("InstrRate = %v, want > 0", last.InstrRate)
 	}
 	if last.Metrics == nil {
-		t.Fatal("ProgressDetail set but Metrics snapshot is nil")
+		t.Fatal("progress snapshot carries no Metrics snapshot")
 	}
 	if len(last.Metrics.Counters) == 0 {
 		t.Error("frozen snapshot carries no counters")
 	}
 	if len(last.Spans) == 0 {
-		t.Error("ProgressDetail set with tracing on but no recent spans")
+		t.Error("tracing on but the progress snapshot carries no recent spans")
 	}
+
+	t.Run("with timeline", func(t *testing.T) {
+		cfg.TimelineInterval = 10_000
+		progress, epochs := 0, 0
+		cfg.Observe = func(e Event) {
+			switch {
+			case (e.Progress == nil) == (e.Epoch == nil):
+				t.Errorf("event carries %v progress and %v epoch, want exactly one", e.Progress != nil, e.Epoch != nil)
+			case e.Progress != nil:
+				progress++
+			default:
+				epochs++
+			}
+		}
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if progress == 0 {
+			t.Error("no progress event alongside the timeline")
+		}
+		if epochs != len(res.Timeline.Epochs) {
+			t.Errorf("streamed %d epochs, final timeline has %d", epochs, len(res.Timeline.Epochs))
+		}
+	})
 }
 
 // TestGridProgress checks RunGrid's per-cell completion notices.

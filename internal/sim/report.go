@@ -129,7 +129,7 @@ func NewReport(res *Result) *Report {
 		AvgReadLatencyNs:    res.Stats.AvgReadLatencyNs(),
 		ReadNJ:              res.ReadNJ,
 		WriteNJ:             res.WriteNJ,
-		GapMoves:            res.GapMoves,
+		GapMoves:            res.gapMoves(),
 		Metrics:             snap,
 	}
 	r.ResetLatency = summarizeResetLatency(snap)

@@ -16,10 +16,7 @@ import (
 	"time"
 
 	"ladder/internal/core"
-	"ladder/internal/cpu"
-	"ladder/internal/energy"
 	"ladder/internal/fault"
-	"ladder/internal/memctrl"
 	"ladder/internal/metrics"
 	"ladder/internal/remap"
 	"ladder/internal/reram"
@@ -68,8 +65,8 @@ type ChannelProgress struct {
 	WriteMode             bool
 }
 
-// ProgressInfo is the periodic progress snapshot delivered to
-// Config.Progress (or printed when LADDER_DEBUG is set).
+// ProgressInfo is the periodic progress snapshot a run delivers to
+// Config.Observe every ProgressEvery cycles.
 type ProgressInfo struct {
 	// Cycle is the simulated cycle the snapshot was taken at.
 	Cycle    uint64
@@ -80,12 +77,22 @@ type ProgressInfo struct {
 	// InstrRate is the simulator's throughput: instructions retired per
 	// host second since the run started.
 	InstrRate float64
-	// Metrics and Spans are populated only when Config.ProgressDetail is
-	// set: a frozen instrument snapshot and the most recent traced spans
-	// (nil when tracing is off). Both are rebuilt per snapshot, so
-	// consumers may retain them (the introspection server does).
+	// Metrics is a frozen instrument snapshot and Spans the most recent
+	// traced spans (nil when tracing is off). Both are rebuilt per
+	// snapshot, so consumers may retain them (the introspection server
+	// does).
 	Metrics *metrics.Snapshot
 	Spans   []tracing.Span
+}
+
+// Event is one observation on a run's stream (Config.Observe): exactly
+// one of Progress and Epoch is set.
+type Event struct {
+	// Progress is a periodic snapshot, every Config.ProgressEvery cycles.
+	Progress *ProgressInfo
+	// Epoch is a timeline epoch as it closes (Config.TimelineInterval >
+	// 0), the same record Result.Timeline retains.
+	Epoch *timeline.Epoch
 }
 
 // Config describes one simulation run.
@@ -99,17 +106,11 @@ type Config struct {
 	InstrPerCore uint64
 	// Seed makes the run deterministic.
 	Seed int64
-	// MLP bounds outstanding demand reads per core (0 = default 8).
-	MLP int
 	// Geom is the memory geometry (zero value = paper default).
 	Geom reram.Geometry
-	// Ctrl is the controller configuration (zero value = paper default).
-	Ctrl memctrl.Config
 	// Tables supplies the timing tables; nil selects the shipped default
 	// 512×512 set.
 	Tables *timing.TableSet
-	// Energy supplies the energy coefficients (zero value = default).
-	Energy energy.Params
 	// ShrinkRange > 1 compresses the timing tables' dynamic range
 	// (Section 7's process-variation ablation).
 	ShrinkRange float64
@@ -121,9 +122,6 @@ type Config struct {
 	// which distributes a page's blocks over different wordline groups —
 	// the case Section 6.4 warns deteriorates LRS-metadata locality).
 	VWLMode string
-	// VWLSegmentRows is the segment size in wordline groups (default 256
-	// = 1 MB).
-	VWLSegmentRows int
 	// VWLPeriod is the number of writes between gap moves (default 128).
 	VWLPeriod int
 	// ResidentLevel controls the synthetic resident-data density 2^-level
@@ -152,29 +150,23 @@ type Config struct {
 	// single core instead of synthesizing the workload; Workload becomes a
 	// label only. The trace's addresses must fit the configured geometry.
 	TraceFile string
-	// Progress, when set, receives a periodic snapshot of run state every
-	// ProgressEvery cycles (long-run liveness without any printf in the
-	// hot loop). When nil, setting the LADDER_DEBUG environment variable
-	// wires a default printer to the same hook. The callback always runs
-	// on the run's single simulation goroutine, so it needs no internal
-	// locking against the run itself; under RunGridCtx each concurrent
-	// cell is its own run, and the grid's Options.Progress adds
-	// cross-cell serialization on top.
-	Progress func(ProgressInfo) `json:"-"`
-	// ProgressEvery is the progress-callback period in cycles (0 = every
-	// 5M cycles, i.e. 1.25 simulated milliseconds).
-	ProgressEvery uint64
-	// ProgressDetail additionally populates ProgressInfo.Metrics and
-	// ProgressInfo.Spans on every snapshot (the introspection server's
-	// live documents). Off by default: freezing the registry per snapshot
-	// is not free.
-	ProgressDetail bool
+	// Observe, when set, receives the run's event stream: a progress
+	// snapshot every ProgressEvery cycles and each timeline epoch as it
+	// closes. It runs on the run's single simulation goroutine, so it
+	// needs no locking against the run itself; under RunGridCtx each
+	// concurrent cell is its own run, and the grid's Options.Progress
+	// adds cross-cell serialization on top. Observing never perturbs
+	// simulated cycles (pinned by the golden tests); with Observe nil the
+	// engine installs no progress hook at all.
+	Observe func(Event) `json:"-"`
+	// ProgressEvery is the progress-snapshot period in cycles (0 =
+	// defaultProgressEvery, 5M; negative = no progress snapshots). Only
+	// meaningful with Observe set.
+	ProgressEvery int64
 	// TraceSample enables transaction-lifecycle tracing, recording every
 	// Nth memory transaction as a span (see package tracing). 0 disables
 	// tracing; 1 records everything the ring retains.
 	TraceSample int
-	// TraceCapacity sizes the span ring buffer (0 = tracing.DefaultCapacity).
-	TraceCapacity int
 	// TraceSlowest sizes the slowest-writes digest (0 =
 	// tracing.DefaultSlowestK).
 	TraceSlowest int
@@ -213,10 +205,6 @@ type Config struct {
 	// TimelineCapacity bounds retained epochs (0 = timeline.DefaultCapacity).
 	// Reaching it merges adjacent epochs and doubles the effective width.
 	TimelineCapacity int
-	// TimelineOnEpoch, when set, receives each epoch as it closes — the
-	// live-streaming hook behind the introspection server's /timeline
-	// feed. Runs on the simulation goroutine, like Progress.
-	TimelineOnEpoch func(timeline.Epoch) `json:"-"`
 }
 
 // applyDefaults is the one place a run's inputs are resolved: the
@@ -240,14 +228,8 @@ func (c *Config) applyDefaults() error {
 	if c.InstrPerCore == 0 {
 		c.InstrPerCore = 200_000
 	}
-	if c.MLP == 0 {
-		c.MLP = cpu.DefaultMLP
-	}
 	if c.Geom == (reram.Geometry{}) {
 		c.Geom = reram.DefaultGeometry()
-	}
-	if c.Ctrl == (memctrl.Config{}) {
-		c.Ctrl = memctrl.DefaultConfig()
 	}
 	if c.Tables == nil {
 		ts, err := timing.DefaultTableSet()
@@ -255,12 +237,6 @@ func (c *Config) applyDefaults() error {
 			return fmt.Errorf("sim: loading default tables: %w", err)
 		}
 		c.Tables = ts
-	}
-	if c.Energy == (energy.Params{}) {
-		c.Energy = energy.DefaultParams()
-	}
-	if c.VWLSegmentRows == 0 {
-		c.VWLSegmentRows = 256
 	}
 	if c.VWLPeriod == 0 {
 		c.VWLPeriod = 128
@@ -276,12 +252,17 @@ func (c *Config) applyDefaults() error {
 	c.RetryMax = knob(c.RetryMax, fault.DefaultRetryMax)
 	c.SpareRows = knob(c.SpareRows, remap.DefaultSpareRows)
 	c.RemapPenaltyNs = knob(c.RemapPenaltyNs, remap.DefaultPenaltyNs)
+	c.ProgressEvery = knob(c.ProgressEvery, defaultProgressEvery)
 	return nil
 }
 
+// defaultProgressEvery is the progress-snapshot period a run gets when
+// Config.ProgressEvery is 0: 5M cycles, 1.25 simulated milliseconds.
+const defaultProgressEvery = 5_000_000
+
 // knob resolves an optional knob to its literal value: 0 selects def, a
 // negative value is off (0), a positive value is kept.
-func knob[T int | float64](v, def T) T {
+func knob[T int | int64 | float64](v, def T) T {
 	switch {
 	case v == 0:
 		return def
@@ -311,8 +292,6 @@ type Result struct {
 	TotalStoreWrites uint64
 	MaxRowWrites     uint64
 	TouchedRows      int
-	// GapMoves counts VWL migrations (wear leveling runs only).
-	GapMoves uint64
 	// PreCrashStats/PostCrashStats split the accounting around an
 	// injected crash (CrashAtInstr runs only); PostCrash values are the
 	// deltas accumulated after recovery.
@@ -362,6 +341,15 @@ func subtractStats(after, before *core.Stats) *core.Stats {
 	d.CounterDiffSum -= before.CounterDiffSum
 	d.CounterDiffN -= before.CounterDiffN
 	return &d
+}
+
+// gapMoves is the run's start-gap rotation count: the decoder's, or 0
+// when no decoder ran.
+func (r *Result) gapMoves() uint64 {
+	if r.Remap == nil {
+		return 0
+	}
+	return r.Remap.GapMoves
 }
 
 // AvgIPC returns the arithmetic mean per-core IPC.
@@ -438,7 +426,7 @@ func exportRunMetrics(reg *metrics.Registry, res *Result, geom reram.Geometry, s
 	reg.SetCounter("sim.ticks", res.Ticks)
 	reg.SetCounter("sim.instructions_retired", res.InstructionsRetired)
 	reg.SetCounter("sim.wall_clock_us", uint64(res.WallClock.Microseconds()))
-	reg.SetCounter("wear.gap_moves", res.GapMoves)
+	reg.SetCounter("wear.gap_moves", res.gapMoves())
 	reg.SetCounter("core.traffic.data_reads", res.Stats.DataReads)
 	reg.SetCounter("core.traffic.data_writes", res.Stats.DataWrites)
 	reg.SetCounter("core.traffic.smb_reads", res.Stats.SMBReads)

@@ -303,7 +303,7 @@ func TestWearLevelingRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.GapMoves == 0 {
+	if res.gapMoves() == 0 {
 		t.Fatal("expected VWL gap moves on a write-heavy run")
 	}
 	// Wear leveling costs a little performance but must not change

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	mathbits "math/bits"
-	"os"
 	"time"
 
 	"ladder/internal/bits"
@@ -118,14 +117,13 @@ func newSystem(ctx context.Context, cfg Config) (*System, error) {
 	// the observe paths stay lock-free (a run is single-goroutine).
 	s.reg = metrics.NewRegistry()
 	s.env = &core.Env{Geom: cfg.Geom, Store: s.store, Tables: s.tables, Stats: s.stats, Metrics: s.reg}
-	s.meter, err = energy.NewMeter(cfg.Energy)
+	s.meter, err = energy.NewMeter(energy.DefaultParams())
 	if err != nil {
 		return nil, err
 	}
 	if cfg.TraceSample > 0 {
 		s.tr = tracing.NewCollector(tracing.Config{
 			SampleEvery: cfg.TraceSample,
-			Capacity:    cfg.TraceCapacity,
 			SlowestK:    cfg.TraceSlowest,
 		})
 	}
@@ -170,7 +168,7 @@ func (s *System) buildCores(profiles []trace.Profile) error {
 		if rep.MaxLine() >= cfg.Geom.Lines() {
 			return fmt.Errorf("sim: trace address %d exceeds the configured memory (%d lines)", rep.MaxLine(), cfg.Geom.Lines())
 		}
-		c, err := cpu.NewCore(0, rep, cfg.MLP)
+		c, err := cpu.NewCore(0, rep, cpu.DefaultMLP)
 		if err != nil {
 			return err
 		}
@@ -191,7 +189,7 @@ func (s *System) buildCores(profiles []trace.Profile) error {
 		if err != nil {
 			return err
 		}
-		s.cores[i], err = cpu.NewCore(i, gen, cfg.MLP)
+		s.cores[i], err = cpu.NewCore(i, gen, cpu.DefaultMLP)
 		if err != nil {
 			return err
 		}
@@ -208,6 +206,7 @@ func (s *System) buildControllers() error {
 			s.cores[r.Core].ReadDone()
 		}
 	}
+	ctrlCfg := memctrl.DefaultConfig()
 	s.ctrls = make([]*memctrl.Controller, cfg.Geom.Channels)
 	s.schemes = make([]core.Scheme, cfg.Geom.Channels)
 	for ch := range s.ctrls {
@@ -219,7 +218,7 @@ func (s *System) buildControllers() error {
 			h.SetLowPrecisionRows(cfg.HybridLowRows)
 		}
 		s.schemes[ch] = scheme
-		s.ctrls[ch], err = memctrl.NewController(cfg.Ctrl, s.env, scheme, s.meter, onReadDone)
+		s.ctrls[ch], err = memctrl.NewController(ctrlCfg, s.env, scheme, s.meter, onReadDone)
 		if err != nil {
 			return err
 		}
@@ -232,6 +231,11 @@ func (s *System) buildControllers() error {
 	}
 	return nil
 }
+
+// vwlSegmentRows is the segment-mode VWL segment size in wordline groups
+// (256 rows = 1 MB): the unit start-gap rotates, and the segment count
+// relativeLifetime models rotations over.
+const vwlSegmentRows = 256
 
 // buildDecoder configures the programmable address decoder: vertical
 // wear leveling (segment mode), the spare-row pool backing fault
@@ -268,7 +272,7 @@ func (s *System) buildDecoder() error {
 		ProactiveWearLimit: cfg.ProactiveWearLimit,
 	}
 	if needGap {
-		rc.GapSegmentRows = cfg.VWLSegmentRows
+		rc.GapSegmentRows = vwlSegmentRows
 		rc.GapPeriod = cfg.VWLPeriod
 	}
 	dec, err := remap.NewDecoder(rc)
@@ -323,20 +327,20 @@ func (s *System) buildEngine() {
 	for _, c := range s.ctrls {
 		s.eng.Add(&ctrlActor{sys: s, c: c})
 	}
-	if p := s.progressHook(); p != nil {
-		every := s.cfg.ProgressEvery
-		if every == 0 {
-			every = 5_000_000
-		}
-		s.eng.SetObserver(every, p)
+	if s.cfg.Observe != nil && s.cfg.ProgressEvery > 0 {
+		s.eng.SetObserver(uint64(s.cfg.ProgressEvery), s.progress)
 	}
 	if s.cfg.TimelineInterval > 0 {
+		var onEpoch func(timeline.Epoch)
+		if observe := s.cfg.Observe; observe != nil {
+			onEpoch = func(e timeline.Epoch) { observe(Event{Epoch: &e}) }
+		}
 		s.sampler = timeline.NewSampler(timeline.Config{
 			Interval: s.cfg.TimelineInterval,
 			Capacity: s.cfg.TimelineCapacity,
 			Registry: s.reg,
 			Probe:    s.timelineScalars,
-			OnEpoch:  s.cfg.TimelineOnEpoch,
+			OnEpoch:  onEpoch,
 		})
 		s.eng.SetObserver(s.cfg.TimelineInterval, s.sampler.Sample)
 	}
@@ -375,55 +379,32 @@ func (s *System) timelineScalars() timeline.Scalars {
 	return sc
 }
 
-// progressHook resolves the periodic-progress callback: an explicit
-// Config.Progress wins; otherwise LADDER_DEBUG installs the stderr-free
-// diagnostic printer the environment variable has always meant.
-func (s *System) progressHook() func(uint64) {
-	emit := s.cfg.Progress
-	if emit == nil {
-		if os.Getenv("LADDER_DEBUG") == "" {
-			return nil
-		}
-		emit = printProgress
+// progress is the engine's progress hook: it freezes one ProgressInfo,
+// registry snapshot and recent spans included, and hands it to
+// Config.Observe.
+func (s *System) progress(now uint64) {
+	info := ProgressInfo{Cycle: now, Cores: make([]CoreProgress, len(s.cores)), Channels: make([]ChannelProgress, len(s.ctrls))}
+	var retired uint64
+	for i, c := range s.cores {
+		info.Cores[i] = CoreProgress{Retired: c.Retired(), Outstanding: c.Outstanding()}
+		retired += c.Retired()
 	}
-	return func(now uint64) {
-		info := ProgressInfo{Cycle: now, Cores: make([]CoreProgress, len(s.cores)), Channels: make([]ChannelProgress, len(s.ctrls))}
-		var retired uint64
-		for i, c := range s.cores {
-			info.Cores[i] = CoreProgress{Retired: c.Retired(), Outstanding: c.Outstanding()}
-			retired += c.Retired()
-		}
-		for ch, c := range s.ctrls {
-			info.Channels[ch] = ChannelProgress{ReadQueue: c.ReadQueueLen(), WriteQueue: c.WriteQueueLen(), WriteMode: c.InWriteMode()}
-		}
-		info.Wall = time.Since(s.started)
-		if sec := info.Wall.Seconds(); sec > 0 {
-			info.InstrRate = float64(retired) / sec
-		}
-		if s.cfg.ProgressDetail {
-			snap := s.reg.Snapshot()
-			info.Metrics = &snap
-			info.Spans = s.tr.Recent(progressSpanCount)
-		}
-		emit(info)
+	for ch, c := range s.ctrls {
+		info.Channels[ch] = ChannelProgress{ReadQueue: c.ReadQueueLen(), WriteQueue: c.WriteQueueLen(), WriteMode: c.InWriteMode()}
 	}
+	info.Wall = time.Since(s.started)
+	if sec := info.Wall.Seconds(); sec > 0 {
+		info.InstrRate = float64(retired) / sec
+	}
+	snap := s.reg.Snapshot()
+	info.Metrics = &snap
+	info.Spans = s.tr.Recent(progressSpanCount)
+	s.cfg.Observe(Event{Progress: &info})
 }
 
-// progressSpanCount bounds the recent-span slice a detailed progress
-// snapshot carries (the introspection server's /spans document).
+// progressSpanCount bounds the recent-span slice a progress snapshot
+// carries (the introspection server's /spans document).
 const progressSpanCount = 64
-
-// printProgress is the LADDER_DEBUG default progress sink.
-func printProgress(p ProgressInfo) {
-	fmt.Printf("tick %d:", p.Cycle)
-	for i, c := range p.Cores {
-		fmt.Printf(" core%d ret=%d out=%d", i, c.Retired, c.Outstanding)
-	}
-	for ch, c := range p.Channels {
-		fmt.Printf(" | ch%d rdq=%d wrq=%d wm=%v", ch, c.ReadQueue, c.WriteQueue, c.WriteMode)
-	}
-	fmt.Printf(" | wall=%.1fs %.0f instr/s\n", p.Wall.Seconds(), p.InstrRate)
-}
 
 // warm is the warm phase: it prefills resident data into the store so
 // touched wordline groups carry realistic ones-density before the first
@@ -596,7 +577,6 @@ func (s *System) collect() (*Result, error) {
 	if s.dec != nil {
 		st := s.dec.Stats()
 		res.Remap = &st
-		res.GapMoves = st.GapMoves
 	}
 	if s.inj != nil {
 		st := s.inj.Stats()

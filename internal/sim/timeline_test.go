@@ -161,14 +161,18 @@ func TestTimelineCapacityBoundsEpochs(t *testing.T) {
 	}
 }
 
-// TestTimelineOnEpochStreams pins the live hook: every closed epoch
-// reaches Config.TimelineOnEpoch in order, matching the final series
-// when no decimation occurred.
-func TestTimelineOnEpochStreams(t *testing.T) {
+// TestObserveStreamsEpochs pins the live stream: every closed epoch
+// reaches Config.Observe in order, matching the final series when no
+// decimation occurred.
+func TestObserveStreamsEpochs(t *testing.T) {
 	cfg := testConfig(t, "astar", SchemeBaseline)
 	cfg.TimelineInterval = 10_000
 	var streamed []timeline.Epoch
-	cfg.TimelineOnEpoch = func(e timeline.Epoch) { streamed = append(streamed, e) }
+	cfg.Observe = func(e Event) {
+		if e.Epoch != nil {
+			streamed = append(streamed, *e.Epoch)
+		}
+	}
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)

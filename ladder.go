@@ -77,8 +77,11 @@ type (
 	Timeline = timeline.Timeline
 	// TimelineEpoch is one closed sampling window of a Timeline.
 	TimelineEpoch = timeline.Epoch
-	// ProgressInfo is the periodic run-progress snapshot delivered to
-	// Config.Progress.
+	// Event is one observation on a run's stream, delivered to
+	// Config.Observe: a progress snapshot or a closed timeline epoch.
+	Event = sim.Event
+	// ProgressInfo is the periodic run-progress snapshot an Event
+	// carries every Config.ProgressEvery cycles.
 	ProgressInfo = sim.ProgressInfo
 	// GridProgress is the grid notice delivered to Options.Progress
 	// during RunGrid and the studies: a cell completion, or a running
